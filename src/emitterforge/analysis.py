@@ -172,9 +172,14 @@ def fit_saturation(
     p_scale = float(np.max(p))
     y_scale = max(float(np.max(y)), 1e-12)
 
+    unit = np.array([y_scale, p_scale, y_scale / p_scale])
+
     def residual(u):
-        model = saturation_model(p, u[0] * y_scale, u[1] * p_scale, u[2] * y_scale / p_scale)
-        return (model - y) / sig
+        return (saturation_model(p, *(u * unit)) - y) / sig
+
+    def jacobian(u):
+        # chain rule through the scaled parameters: d/du_i = unit_i * d/dtheta_i
+        return saturation_model_gradient(p, *(u * unit)) * unit / sig[:, None]
 
     outcome = fitkit.least_squares(
         fitkit.FitProblem(
@@ -182,9 +187,9 @@ def fit_saturation(
             x0=np.array([sat0 / y_scale, p0_0 / p_scale, slope0 * p_scale / y_scale]),
             lower=np.array([0.0, 1e-9, 0.0]),
             upper=np.array([1e9, 1e9, 1e9]),
+            jacobian=jacobian,
         )
     )
-    unit = np.array([y_scale, p_scale, y_scale / p_scale])
     cov = None if outcome.covariance is None else outcome.covariance * np.outer(unit, unit)
     result = SaturationFitResult(
         sat_rate=float(outcome.params[0]) * y_scale,

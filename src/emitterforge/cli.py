@@ -174,6 +174,8 @@ def _cmd_g2(args) -> int:
         print(f"rho {args.rho:.6g}")
     if fit.no_dip:
         print("flag no_dip")
+    for flag in fit.flags:
+        print(f"flag {flag}")
     if not fit.converged:
         print(f"fit did not converge: {fit.message}", file=sys.stderr)
         return 5

@@ -63,7 +63,11 @@ class G2Histogram:
 
 @dataclass
 class G2Fit:
-    """Fitted dip model parameters."""
+    """Fitted dip model parameters.
+
+    ``iterations``, ``message`` and ``flags`` are carried over from the
+    :class:`fitkit.FitOutcome` (e.g. 'covariance_singular').
+    """
 
     n_emitters: float
     a: float
@@ -77,6 +81,8 @@ class G2Fit:
     converged: bool
     no_dip: bool
     message: str = ""
+    iterations: int = 0
+    flags: dict = field(default_factory=dict)
 
 
 def g2_model(tau, n_emitters: float, a: float, tau1: float, tau2: float):
@@ -225,15 +231,9 @@ def _dip_half_width(tau: np.ndarray, g2: np.ndarray) -> float:
     return max(half / math.log(2.0), 1e-12)
 
 
-def _bin_subsamples(hist: G2Histogram, n_sub: int = 8):
-    """|tau| quadrature nodes spanning each bin's actual tick coverage.
-
-    The data in a bin is the pair count averaged over the delays the bin
-    covers, so the model must be averaged the same way or a steep dip
-    biases the fit at coarse bin widths.
-    """
-    res = hist.resolution
-    b = int(round(hist.bin_width / res))
+def _bin_span(hist: G2Histogram):
+    """First and last |tau| tick each bin covers (floats, in ticks)."""
+    b = int(round(hist.bin_width / hist.resolution))
     m = (hist.tau.size - 1) // 2
     k = np.abs(np.arange(-m, m + 1))
     if b % 2 == 0:
@@ -242,8 +242,87 @@ def _bin_subsamples(hist: G2Histogram, n_sub: int = 8):
     else:
         lo = np.where(k == 0, 0.0, k * b - (b - 1) / 2.0)
         hi = k * b + (b - 1) / 2.0
+    return lo, hi
+
+
+def _bin_subsamples(hist: G2Histogram, n_sub: int = 8):
+    """|tau| quadrature nodes spanning each bin's actual tick coverage.
+
+    The data in a bin is the pair count averaged over the delays the bin
+    covers, so the model must be averaged the same way or a steep dip
+    biases the fit at coarse bin widths.
+    """
+    lo, hi = _bin_span(hist)
     frac = (np.arange(n_sub) + 0.5) / n_sub
-    return (lo[:, None] + (hi - lo)[:, None] * frac[None, :]) * res
+    return (lo[:, None] + (hi - lo)[:, None] * frac[None, :]) * hist.resolution
+
+
+class _BinnedDip:
+    """Weighted residual and Jacobian of the dip model averaged over the
+    :func:`_bin_subsamples` nodes of each bin, in closed form.
+
+    The nodes of a bin are equally spaced, t0 + j h for j < n_sub, so the
+    bin mean of e^(-t/tau) is e^(-t0/tau) * mean_j q^j with q = e^(-h/tau).
+    The geometric factor depends on h alone, which takes one value in the
+    central bin and one in all others, so an evaluation costs one
+    exponential per bin per time constant; the tau-derivatives come from the
+    same exponentials. Parameters are (N, a, tau1/scale, tau2/scale). The
+    last evaluation is cached, so the Jacobian at an accepted step reuses
+    the exponentials of the residual at that point.
+    """
+
+    def __init__(self, hist: G2Histogram, sigma: np.ndarray, scale: float, n_sub: int = 8):
+        lo, hi = _bin_span(hist)
+        spans, self._which = np.unique(hi - lo, return_inverse=True)
+        self._h = spans * hist.resolution / n_sub
+        self._t0 = (lo + (hi - lo) * (0.5 / n_sub)) * hist.resolution
+        self._h_bin = self._h[self._which]
+        self._j = np.arange(n_sub, dtype=float)
+        self._y = hist.g2
+        self._sigma = sigma
+        self._scale = scale
+        self._key = None
+        self._terms = None
+
+    def _exp_means(self, tau: float):
+        """Bin means of e^(-t/tau) and of their tau-derivative t e^(-t/tau) / tau^2."""
+        q = np.exp(-np.outer(self._h, self._j) / tau)
+        geo = q.mean(axis=1)[self._which]
+        geo_j = (q @ self._j / self._j.size)[self._which]
+        e0 = np.exp(-self._t0 / tau)
+        return e0 * geo, e0 * (self._t0 * geo + self._h_bin * geo_j) / (tau * tau)
+
+    def _evaluate(self, p: np.ndarray):
+        key = p.tobytes()
+        if key != self._key:
+            self._terms = (
+                *self._exp_means(p[2] * self._scale),
+                *self._exp_means(p[3] * self._scale),
+            )
+            self._key = key
+        return self._terms
+
+    def model(self, p: np.ndarray) -> np.ndarray:
+        """Bin-averaged :func:`g2_model`; non-finite outside its domain."""
+        n, a = p[0], p[1]
+        if p[2] <= 0.0 or p[3] <= 0.0 or n < 1.0:
+            return np.full(self._t0.shape, np.inf)
+        e1, _, e2, _ = self._evaluate(p)
+        return (n - 1.0) / n + ((1.0 - e1) - a * (e1 - e2)) / n
+
+    def residual(self, p: np.ndarray) -> np.ndarray:
+        return (self.model(p) - self._y) / self._sigma
+
+    def jacobian(self, p: np.ndarray) -> np.ndarray:
+        n, a = p[0], p[1]
+        e1, d1, e2, d2 = self._evaluate(p)
+        cols = (
+            ((1.0 + a) * e1 - a * e2) / (n * n),
+            (e2 - e1) / n,
+            -(1.0 + a) * self._scale / n * d1,
+            a * self._scale / n * d2,
+        )
+        return np.stack(cols, axis=1) / self._sigma[:, None]
 
 
 def fit_g2(hist: G2Histogram, x0: np.ndarray | None = None) -> G2Fit:
@@ -282,14 +361,11 @@ def fit_g2(hist: G2Histogram, x0: np.ndarray | None = None) -> G2Fit:
         tau1_0 = _dip_half_width(tau, y)
         x0 = np.array([n0, a0, tau1_0, 10.0 * tau1_0])
     scale = max(float(x0[2]), 1e-12)
-    tau_sub = _bin_subsamples(hist)
-
-    def residual(p):
-        model = g2_model(tau_sub, p[0], p[1], p[2] * scale, p[3] * scale)
-        return (np.mean(model, axis=1) - y) / sigma
+    dip = _BinnedDip(hist, sigma, scale)
 
     problem = fitkit.FitProblem(
-        residual=residual,
+        residual=dip.residual,
+        jacobian=dip.jacobian,
         x0=np.array([x0[0], x0[1], x0[2] / scale, x0[3] / scale]),
         lower=np.array([1.0, 0.0, 1e-6, 1e-6]),
         upper=np.array([1e9, 1e6, 1e9, 1e9]),
@@ -319,6 +395,8 @@ def fit_g2(hist: G2Histogram, x0: np.ndarray | None = None) -> G2Fit:
         converged=outcome.converged,
         no_dip=no_dip,
         message=outcome.message,
+        iterations=outcome.iterations,
+        flags=dict(outcome.flags),
     )
 
 
@@ -434,17 +512,29 @@ def read_histogram_csv(path) -> G2Histogram:
                 for tok in line[1:].split():
                     if "=" in tok:
                         key, val = tok.split("=", 1)
-                        meta[key] = float(val)
+                        try:
+                            meta[key] = float(val)
+                        except ValueError:
+                            raise FormatError(
+                                f"bad metadata value {tok!r} on line {lineno}", offset=lineno
+                            ) from None
                 continue
             if line == "tau_ns,g2,sigma,raw":
                 continue
             parts = line.split(",")
             if len(parts) != 4:
                 raise FormatError(f"expected 4 fields on line {lineno}", offset=lineno)
-            tau.append(float(parts[0]) * 1e-9)
-            g2.append(float(parts[1]))
-            sigma.append(float(parts[2]))
-            raw.append(int(parts[3]))
+            try:
+                tau.append(float(parts[0]) * 1e-9)
+                g2.append(float(parts[1]))
+                sigma.append(float(parts[2]))
+                raw.append(int(parts[3]))
+            except ValueError:
+                raise FormatError(f"bad number on line {lineno}", offset=lineno) from None
+            if not 0 <= raw[-1] < 2**63:
+                raise FormatError(
+                    f"raw count {raw[-1]} outside 0..2**63-1 on line {lineno}", offset=lineno
+                )
     required = {"bin_width_ps", "window_ps", "rate_a_cps", "rate_b_cps", "total_time_s", "resolution_ps"}
     if not required.issubset(meta):
         raise FormatError("histogram CSV is missing its metadata comment", offset=1)

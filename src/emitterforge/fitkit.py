@@ -1,10 +1,11 @@
 """Small weighted nonlinear least-squares engine.
 
 All model fits in this package go through :func:`least_squares`, a
-Levenberg-Marquardt loop with box-bound projection and finite-difference
-Jacobians. Residual functions are expected to return *weighted* residuals
-(already divided by the per-point sigma), so the covariance and reduced
-chi-square come out in natural units.
+Levenberg-Marquardt loop with box-bound projection. A problem may supply an
+analytic Jacobian; otherwise one is built by finite differences. Residual
+functions are expected to return *weighted* residuals (already divided by
+the per-point sigma), so the covariance and reduced chi-square come out in
+natural units.
 """
 from __future__ import annotations
 
@@ -38,6 +39,9 @@ class FitProblem:
         Cap on accepted Levenberg-Marquardt steps.
     tolerance : float
         Relative cost-decrease threshold for convergence.
+    jacobian : callable or None
+        Maps a parameter vector to the m x n Jacobian of the *weighted*
+        residual. When None, central finite differences are used.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
@@ -46,6 +50,7 @@ class FitProblem:
     upper: np.ndarray | None = None
     max_iterations: int = 200
     tolerance: float = 1e-10
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass
@@ -55,8 +60,9 @@ class FitOutcome:
     ``covariance`` is scaled by the residual variance (reduced chi-square);
     it is None when there are no spare degrees of freedom. ``flags`` may
     contain 'covariance_singular' (pseudo-inverse was used) and
-    'jacobian_flagged_columns' (parameters whose finite-difference probes
-    produced non-finite residuals in the final iteration).
+    'jacobian_flagged_columns' (parameters whose Jacobian column was
+    non-finite in the final iteration: a finite-difference probe produced a
+    non-finite residual, or the analytic Jacobian held a non-finite entry).
     """
 
     params: np.ndarray
@@ -134,14 +140,31 @@ def _jacobian_with_flags(residual, params, rel_step, lower=None, upper=None):
     return jac, flagged
 
 
+def _problem_jacobian(problem, x, r, lower, upper):
+    """The problem's own Jacobian at ``x`` if it has one, else finite
+    differences; non-finite analytic columns are zeroed and flagged."""
+    if problem.jacobian is None:
+        return _jacobian_with_flags(problem.residual, x, 1e-6, lower, upper)
+    jac = np.array(problem.jacobian(x), dtype=float, ndmin=2)
+    if jac.shape != (r.size, x.size):
+        raise DomainError(
+            f"jacobian has shape {jac.shape}, expected {(r.size, x.size)}"
+        )
+    bad = ~np.all(np.isfinite(jac), axis=0)
+    jac[:, bad] = 0.0
+    return jac, np.flatnonzero(bad).tolist()
+
+
 def least_squares(problem: FitProblem) -> FitOutcome:
     """Minimize the sum of squared residuals with damped Gauss-Newton steps.
 
-    Damping starts at 1e-3 and moves by factors of 10 (up on a rejected
-    step, down on an accepted one). Convergence: relative cost decrease
-    below ``problem.tolerance`` or infinity-norm of the gradient below 1e-10.
-    Singular normal equations get damped retries and, if they persist, a
-    non-converged outcome carrying the best point seen.
+    The Jacobian comes from ``problem.jacobian`` when it is set and from
+    central finite differences otherwise. Damping starts at 1e-3 and moves
+    by factors of 10 (up on a rejected step, down on an accepted one).
+    Convergence: relative cost decrease below ``problem.tolerance`` or
+    infinity-norm of the gradient below 1e-10. Singular normal equations
+    get damped retries and, if they persist, a non-converged outcome
+    carrying the best point seen.
     """
     x = np.asarray(problem.x0, dtype=float).copy()
     lower = None if problem.lower is None else np.asarray(problem.lower, dtype=float)
@@ -175,7 +198,7 @@ def least_squares(problem: FitProblem) -> FitOutcome:
     iterations = 0
     converged = False
     message = "max iterations reached"
-    jac, flagged = _jacobian_with_flags(problem.residual, x, 1e-6, lower, upper)
+    jac, flagged = _problem_jacobian(problem, x, r, lower, upper)
 
     while iterations < problem.max_iterations:
         grad = jac.T @ r
@@ -239,7 +262,7 @@ def least_squares(problem: FitProblem) -> FitOutcome:
         if rel_decrease > 0.9999:
             lam = min(lam, 1e-12)
         iterations += 1
-        jac, flagged = _jacobian_with_flags(problem.residual, x, 1e-6, lower, upper)
+        jac, flagged = _problem_jacobian(problem, x, r, lower, upper)
         if rel_decrease < problem.tolerance:
             converged = True
             message = "relative cost decrease below tolerance"

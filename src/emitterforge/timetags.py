@@ -224,12 +224,21 @@ def read_timetags_csv(path) -> TimeTagStream:
             if len(parts) != 2:
                 raise FormatError(f"expected 2 fields on line {lineno}", offset=lineno)
             try:
-                channels.append(int(parts[0]))
-                times_ps.append(int(parts[1]))
+                channel, time_ps = int(parts[0]), int(parts[1])
             except ValueError:
                 raise FormatError(
                     f"non-integer field on line {lineno}", offset=lineno
                 ) from None
+            if not 0 <= channel <= 255:
+                raise FormatError(
+                    f"channel {channel} outside 0..255 on line {lineno}", offset=lineno
+                )
+            if not 0 <= time_ps < 2**63:
+                raise FormatError(
+                    f"timestamp {time_ps} outside 0..2**63-1 on line {lineno}", offset=lineno
+                )
+            channels.append(channel)
+            times_ps.append(time_ps)
     timestamps = np.asarray(times_ps, dtype=np.int64)
     if timestamps.size and np.any(np.diff(timestamps) < 0):
         i = int(np.flatnonzero(np.diff(timestamps) < 0)[0]) + 1

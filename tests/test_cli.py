@@ -170,6 +170,28 @@ def test_g2_reports_antibunching(single_emitter_file, capsys):
     assert float(report["n_emitters"][0]) == pytest.approx(1.0, abs=0.2)
 
 
+def test_g2_prints_fit_flags_after_existing_lines(single_emitter_file, monkeypatch, capsys):
+    from emitterforge import cli
+
+    args = ["g2", str(single_emitter_file), "--bin", "2 ns", "--window", "300 ns"]
+    fit_g2 = cli.fit_g2
+
+    def with_flags(flags):
+        def fit_with_flags(hist):
+            fit = fit_g2(hist)
+            fit.flags = flags
+            return fit
+
+        monkeypatch.setattr(cli, "fit_g2", fit_with_flags)
+        assert main(args) == 0
+        return capsys.readouterr().out.splitlines()
+
+    plain = with_flags({})
+    assert not any(line.startswith("flag") for line in plain)
+    flagged = with_flags({"covariance_singular": True, "jacobian_flagged_columns": [3]})
+    assert flagged == plain + ["flag covariance_singular", "flag jacobian_flagged_columns"]
+
+
 def test_g2_rho_one_equals_raw(single_emitter_file, tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     cor = tmp_path / "cor.csv"

@@ -4,8 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from emitterforge import fitkit
 from emitterforge.correlator import (
     G2Histogram,
+    _bin_subsamples,
+    _BinnedDip,
     background_correct,
     correlate,
     correlate_chunked,
@@ -16,7 +19,7 @@ from emitterforge.correlator import (
     rho_from_rates,
     write_histogram_csv,
 )
-from emitterforge.errors import CorrectionWarning, DomainError
+from emitterforge.errors import CorrectionWarning, DomainError, FormatError
 from emitterforge.photonsim import (
     DetectorModel,
     EmitterModel,
@@ -248,6 +251,70 @@ def test_fit_flat_histogram_flags_no_dip():
     assert fit.no_dip
 
 
+def _noise_histogram(bin_ticks, m_bins=150, resolution=1e-12):
+    bin_width = bin_ticks * resolution
+    tau = np.arange(-m_bins, m_bins + 1) * bin_width
+    g2 = np.random.default_rng(bin_ticks).normal(1.0, 0.05, tau.size)
+    return G2Histogram(
+        bin_width=bin_width, window=m_bins * bin_width, tau=tau, g2=g2,
+        sigma=np.full(tau.size, 0.05), raw=np.full(tau.size, 400, np.int64),
+        normalizer=np.full(tau.size, 400.0), rate_a=1e4, rate_b=1e4,
+        total_time=1.0, resolution=resolution,
+    )
+
+
+@pytest.mark.parametrize("bin_ticks", [1, 2, 2999, 3000])
+def test_binned_dip_closed_form_matches_node_mean(bin_ticks):
+    hist = _noise_histogram(bin_ticks)
+    bw = hist.bin_width
+    for params in [(1.0, 0.3, 10 * bw, 60 * bw), (2.3, 0.0, 3 * bw, 30 * bw),
+                   (1.0, 5.0, 0.5 * bw, 100 * bw), (1.4, 0.8, 40 * bw, 45 * bw)]:
+        dip = _BinnedDip(hist, hist.fit_sigma(), scale=1.0)
+        nodes = np.mean(g2_model(_bin_subsamples(hist), *params), axis=1)
+        np.testing.assert_allclose(dip.model(np.array(params)), nodes, rtol=1e-12, atol=0.0)
+
+
+def test_binned_dip_jacobian_matches_fd():
+    lower, upper = np.array([1.0, 0.0, 1e-6, 1e-6]), np.array([1e9, 1e6, 1e9, 1e9])
+    for bin_ticks in (2999, 3000):
+        hist = _noise_histogram(bin_ticks)
+        scale = 10 * hist.bin_width
+        dip = _BinnedDip(hist, hist.fit_sigma(), scale)
+        # interior points, then a = 0 and N = 1 on their bounds
+        for u in [(1.3, 0.4, 1.0, 6.0), (2.5, 2.0, 0.3, 12.0), (1.1, 0.05, 3.0, 3.5),
+                  (1.7, 0.0, 1.0, 6.0), (1.0, 0.0, 0.8, 20.0)]:
+            u = np.array(u)
+            jac_fd = fitkit.finite_difference_jacobian(dip.residual, u, lower=lower, upper=upper)
+            assert np.allclose(dip.jacobian(u), jac_fd, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fit_g2_analytic_matches_finite_difference_path(n, monkeypatch):
+    em = EmitterModel(lifetime=50e-9, sat_power=150e-6, sat_rate=2e6)
+    stream = simulate_emitter_tags([em] * n, 50e-6, 2.0, seed=700 + n)
+    det = DetectorModel(efficiency=1.0)
+    a, b = run_detection(stream, 0.5, det, det, seed=800 + n)
+    hist = correlate(a, b, bin_width=2e-9, window=400e-9)
+    analytic = fit_g2(hist)
+
+    least_squares = fitkit.least_squares
+    outcomes = []
+
+    def finite_difference_path(problem):
+        problem.jacobian = None
+        outcomes.append(least_squares(problem))
+        return outcomes[-1]
+
+    monkeypatch.setattr(fitkit, "least_squares", finite_difference_path)
+    fd = fit_g2(hist)
+    # the fit's diagnostics are carried over from the fitkit outcome
+    assert fd.iterations == outcomes[0].iterations > 0
+    assert fd.flags == outcomes[0].flags
+    assert analytic.converged and fd.converged
+    assert analytic.g2_zero == pytest.approx(fd.g2_zero, abs=1e-3)
+    assert analytic.g2_zero == pytest.approx((n - 1) / n, abs=0.05)
+
+
 # ---------------------------------------------------- background terms
 
 
@@ -324,3 +391,27 @@ def test_histogram_csv_round_trip(tmp_path):
     assert back.total_time == pytest.approx(hist.total_time)
     # normalizer reconstructed from the metadata comment
     assert back.normalizer == pytest.approx(hist.normalizer, rel=1e-12)
+
+
+@pytest.mark.parametrize("row", ["0,abc,1,1", "0,1,1,x", "0,1,1,-1", f"0,1,1,{2**63}"])
+def test_histogram_csv_bad_number_is_format_error(tmp_path, row):
+    a, b = _poisson_pair(1e4, 2.0, seed=801)
+    p = tmp_path / "g2.csv"
+    write_histogram_csv(correlate(a, b, bin_width=5e-9, window=20e-9), p)
+    lines = p.read_text().splitlines()
+    lines[4] = row
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="line 5") as err:
+        read_histogram_csv(p)
+    assert err.value.offset == 5
+
+
+def test_histogram_csv_bad_metadata_is_format_error(tmp_path):
+    a, b = _poisson_pair(1e4, 2.0, seed=802)
+    p = tmp_path / "g2.csv"
+    write_histogram_csv(correlate(a, b, bin_width=5e-9, window=20e-9), p)
+    text = p.read_text()
+    p.write_text(text.replace("rate_a_cps=", "rate_a_cps=fast", 1))
+    with pytest.raises(FormatError, match="line 1") as err:
+        read_histogram_csv(p)
+    assert err.value.offset == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from emitterforge.errors import DomainError
 from emitterforge.fitkit import (
     FitProblem,
     finite_difference_jacobian,
@@ -144,3 +145,65 @@ def test_no_degrees_of_freedom_gives_none_covariance():
     assert out.converged
     assert out.covariance is None
     assert np.isnan(out.param_sigma()).all()
+
+
+def _exp_problem():
+    t = np.linspace(0.0, 5.0, 60)
+    y = 3.0 * np.exp(-t / 1.5) + 0.4 + np.random.default_rng(3).normal(0.0, 0.02, t.size)
+
+    def residual(p):
+        return (p[0] * np.exp(-t / p[1]) + p[2] - y) / 0.02
+
+    def jacobian(p):
+        e = np.exp(-t / p[1])
+        return np.stack([e, p[0] * t * e / p[1] ** 2, np.ones_like(t)], axis=1) / 0.02
+
+    return FitProblem(
+        residual,
+        x0=np.array([1.0, 1.0, 0.0]),
+        lower=np.array([0.0, 1e-6, -10.0]),
+        upper=np.array([100.0, 100.0, 10.0]),
+    ), jacobian
+
+
+def test_analytic_jacobian_matches_finite_difference_fit():
+    problem, jacobian = _exp_problem()
+    calls = []
+
+    def counted(p):
+        calls.append(1)
+        return problem.residual(p)
+
+    fd = least_squares(FitProblem(counted, problem.x0, problem.lower, problem.upper))
+    fd_calls = len(calls)
+    calls.clear()
+    an = least_squares(
+        FitProblem(counted, problem.x0, problem.lower, problem.upper, jacobian=jacobian)
+    )
+    assert an.converged and fd.converged
+    assert an.params == pytest.approx(fd.params, rel=1e-6)
+    assert np.sqrt(np.diag(an.covariance)) == pytest.approx(
+        np.sqrt(np.diag(fd.covariance)), rel=1e-4
+    )
+    # no finite-difference probes: one residual per trial point only
+    assert len(calls) < fd_calls / 4
+
+
+def test_analytic_jacobian_nonfinite_column_flagged():
+    problem, jacobian = _exp_problem()
+
+    def bad_jacobian(p):
+        jac = jacobian(p)
+        jac[0, 2] = np.nan
+        return jac
+
+    problem.jacobian = bad_jacobian
+    out = least_squares(problem)
+    assert out.flags["jacobian_flagged_columns"] == [2]
+
+
+def test_analytic_jacobian_wrong_shape_is_domain_error():
+    problem, jacobian = _exp_problem()
+    problem.jacobian = lambda p: jacobian(p).T
+    with pytest.raises(DomainError, match="shape"):
+        least_squares(problem)

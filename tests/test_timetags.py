@@ -137,3 +137,12 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(r.timestamps, s.timestamps)
     assert np.array_equal(r.channels, s.channels)
     assert r.resolution == s.resolution
+
+
+@pytest.mark.parametrize("row", ["300,5", "-1,5", "0,-5", f"0,{2**63}"])
+def test_csv_out_of_range_field_is_format_error(tmp_path, row):
+    p = tmp_path / "tags.csv"
+    p.write_text(f"channel,timestamp_ps\n0,1\n{row}\n")
+    with pytest.raises(FormatError, match="line 3") as err:
+        read_timetags_csv(p)
+    assert err.value.offset == 3
