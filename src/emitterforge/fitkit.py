@@ -101,8 +101,12 @@ def finite_difference_jacobian(
     return jac
 
 
-def _jacobian_with_flags(residual, params, rel_step, lower=None, upper=None):
-    r0 = np.atleast_1d(np.asarray(residual(params), dtype=float))
+def _jacobian_with_flags(residual, params, rel_step, lower=None, upper=None, r0=None):
+    """Finite-difference Jacobian and its non-finite columns; ``r0`` is the
+    residual at ``params`` when the caller already holds it."""
+    if r0 is None:
+        r0 = residual(params)
+    r0 = np.atleast_1d(np.asarray(r0, dtype=float))
     m, n = r0.size, params.size
     jac = np.zeros((m, n))
     flagged: list[int] = []
@@ -144,7 +148,7 @@ def _problem_jacobian(problem, x, r, lower, upper):
     """The problem's own Jacobian at ``x`` if it has one, else finite
     differences; non-finite analytic columns are zeroed and flagged."""
     if problem.jacobian is None:
-        return _jacobian_with_flags(problem.residual, x, 1e-6, lower, upper)
+        return _jacobian_with_flags(problem.residual, x, 1e-6, lower, upper, r)
     jac = np.array(problem.jacobian(x), dtype=float, ndmin=2)
     if jac.shape != (r.size, x.size):
         raise DomainError(

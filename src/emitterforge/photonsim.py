@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .timetags import TimeTagStream, merge_streams
+from .timetags import TimeTagStream
 
 DEFAULT_RESOLUTION = 1e-12  # 1 ps ticks
 
@@ -184,18 +184,17 @@ def simulate_emitter_tags(
         models = [models]
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = ss.spawn(len(models)) if models else []
-    streams = [
-        TimeTagStream.from_times(
-            _emitter_times(m, power, duration, np.random.default_rng(child)),
-            channel=0,
-            resolution=resolution,
-            duration=duration,
-        )
+    times = [
+        _emitter_times(m, power, duration, np.random.default_rng(child))
         for m, child in zip(models, children)
     ]
-    if not streams:
-        return TimeTagStream(resolution, np.empty(0, np.uint8), np.empty(0, np.int64), duration)
-    return merge_streams(*streams)
+    collected = np.concatenate(times) if times else np.empty(0)
+    if len(times) > 1:
+        # quantizing is monotone, so sorting all emitters' times merges
+        # their ticks; numpy's default sort beats from_times' run-merging
+        # stable sort on interleaved runs, and leaves it one run to check
+        collected.sort()
+    return TimeTagStream.from_times(collected, 0, resolution, duration)
 
 
 def simulate_background_tags(
@@ -222,17 +221,43 @@ def simulate_background_tags(
     return TimeTagStream.from_times(collected, 0, resolution, duration)
 
 
+# below this many unfinished bursts the walk goes on one burst at a time
+_SCALAR_BURSTS = 32
+
+
 def _dead_time_filter(ticks: np.ndarray, dead_ticks: int) -> np.ndarray:
     """Non-paralyzable dead time: keep a tag only if at least ``dead_ticks``
-    after the last *kept* tag."""
+    after the last *kept* tag (ties with the last kept tag are dropped).
+
+    ``ticks`` are sorted and nonnegative. A tag at least ``dead_ticks``
+    after its predecessor starts a burst and is always kept, since the last
+    kept tag is no later than that predecessor. Inside a burst, the tag
+    kept after tag ``i`` is ``nxt[i]``, the first tag at least ``dead_ticks``
+    after it (``searchsorted(..., "left")``); that chain stays inside the
+    burst until it reaches the next burst's start. The chains of all bursts
+    are followed at once, one kept tag per burst per step; the last few
+    long bursts are walked one by one so a single long burst costs one
+    scalar step per kept tag.
+    """
     if dead_ticks <= 0 or ticks.size == 0:
         return ticks
+    nxt = np.searchsorted(ticks, ticks + dead_ticks, side="left")
     keep = np.zeros(ticks.size, dtype=bool)
-    last = -dead_ticks - 1
-    for i, t in enumerate(ticks.tolist()):
-        if t - last >= dead_ticks:
-            keep[i] = True
-            last = t
+    starts = np.flatnonzero(np.diff(ticks, prepend=ticks[0] - dead_ticks) >= dead_ticks)
+    keep[starts] = True
+    ends = np.append(starts[1:], ticks.size)
+    cur = nxt[starts]
+    while cur.size > _SCALAR_BURSTS:
+        inside = cur < ends
+        cur, ends = cur[inside], ends[inside]
+        keep[cur] = True
+        cur = nxt[cur]
+    tail = []
+    for i, end in zip(cur.tolist(), ends.tolist()):
+        while i < end:
+            tail.append(i)
+            i = nxt.item(i)
+    keep[tail] = True
     return ticks[keep]
 
 
@@ -275,17 +300,11 @@ def run_detection(
     ticks_b = _apply_detector(
         stream.timestamps[~to_a], det_b, stream.duration, stream.resolution, rng
     )
-    out_a = TimeTagStream(
-        stream.resolution,
-        np.zeros(ticks_a.size, np.uint8),
-        ticks_a,
-        stream.duration,
+    out_a = TimeTagStream._trusted(
+        stream.resolution, np.zeros(ticks_a.size, np.uint8), ticks_a, stream.duration
     )
-    out_b = TimeTagStream(
-        stream.resolution,
-        np.ones(ticks_b.size, np.uint8),
-        ticks_b,
-        stream.duration,
+    out_b = TimeTagStream._trusted(
+        stream.resolution, np.ones(ticks_b.size, np.uint8), ticks_b, stream.duration
     )
     return out_a, out_b
 

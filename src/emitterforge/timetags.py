@@ -18,7 +18,7 @@ it preserves timestamps exactly but flattens the tick size to 1 ps.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,19 +42,29 @@ class TimeTagStream:
         writable as a binary file.
     channels : ndarray of uint8
     timestamps : ndarray of int64
-        Tick values, globally non-decreasing.
+        Tick values, nonnegative and globally non-decreasing.
     duration : float
         Acquisition span in seconds. All timestamps satisfy
         ``timestamp * resolution < duration``.
+
+    The constructor checks the order of every timestamp. Producers inside
+    the package that order their tags by construction build streams with
+    ``_trusted``, which keeps only the constant-time checks.
     """
 
     resolution: float
     channels: np.ndarray
     timestamps: np.ndarray
     duration: float
-    flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self._check_fields()
+        # compared, not subtracted: a difference of int64 values can wrap
+        if np.any(self.timestamps[1:] < self.timestamps[:-1]):
+            raise DomainError("timestamps must be non-decreasing")
+
+    def _check_fields(self) -> None:
+        """The constant-time checks: dtypes, lengths, scalars, first tag."""
         self.channels = np.asarray(self.channels, dtype=np.uint8)
         self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
         if self.channels.shape != self.timestamps.shape:
@@ -63,11 +73,21 @@ class TimeTagStream:
             raise DomainError("resolution must be positive")
         if self.duration < 0:
             raise DomainError("duration must be nonnegative")
-        if self.timestamps.size:
-            if self.timestamps[0] < 0:
-                raise DomainError("timestamps must be nonnegative")
-            if np.any(np.diff(self.timestamps) < 0):
-                raise DomainError("timestamps must be non-decreasing")
+        if self.timestamps.size and self.timestamps[0] < 0:
+            raise DomainError("timestamps must be nonnegative")
+
+    @classmethod
+    def _trusted(cls, resolution, channels, timestamps, duration) -> "TimeTagStream":
+        """A stream whose timestamps the caller guarantees non-decreasing.
+
+        Skips the O(n) order check of the public constructor; the
+        constant-time checks still run.
+        """
+        stream = cls.__new__(cls)
+        stream.resolution, stream.channels = resolution, channels
+        stream.timestamps, stream.duration = timestamps, duration
+        stream._check_fields()
+        return stream
 
     @classmethod
     def from_times(
@@ -82,7 +102,7 @@ class TimeTagStream:
         ticks = np.floor(times_s / resolution).astype(np.int64)
         ticks.sort(kind="stable")
         channels = np.full(ticks.shape, channel, dtype=np.uint8)
-        return cls(resolution, channels, ticks, duration)
+        return cls._trusted(resolution, channels, ticks, duration)
 
     @property
     def n_tags(self) -> int:
@@ -94,7 +114,7 @@ class TimeTagStream:
     def select(self, channel: int) -> "TimeTagStream":
         """Sub-stream containing only one channel (same resolution/duration)."""
         mask = self.channels == channel
-        return TimeTagStream(
+        return TimeTagStream._trusted(
             self.resolution, self.channels[mask], self.timestamps[mask], self.duration
         )
 
@@ -116,6 +136,13 @@ def merge_streams(*streams: TimeTagStream) -> TimeTagStream:
 
     Ties on identical timestamps are broken by channel, then by source
     position, so the result does not depend on how merging is parallelized.
+
+    Every input is sorted by timestamp, so the concatenation is a sequence
+    of sorted runs, which a stable (run-merging) argsort by timestamp puts
+    in order; ties then keep their source order. If some tie is out of
+    channel order, a ``lexsort`` by timestamp, then channel, is taken
+    instead. Tags equal in timestamp and channel are identical records, so
+    neither sort needs the source position as a key.
     """
     if not streams:
         raise DomainError("need at least one stream")
@@ -125,12 +152,13 @@ def merge_streams(*streams: TimeTagStream) -> TimeTagStream:
             raise DomainError("streams have mismatched resolutions")
     channels = np.concatenate([s.channels for s in streams])
     timestamps = np.concatenate([s.timestamps for s in streams])
-    source = np.concatenate(
-        [np.full(s.n_tags, i, dtype=np.int64) for i, s in enumerate(streams)]
-    )
-    order = np.lexsort((source, channels, timestamps))
+    order = np.argsort(timestamps, kind="stable")
+    ch, ts = channels[order], timestamps[order]
+    if np.any((ts[1:] == ts[:-1]) & (ch[1:] < ch[:-1])):
+        order = np.lexsort((channels, timestamps))
+        ch, ts = channels[order], timestamps[order]
     duration = max(s.duration for s in streams)
-    return TimeTagStream(resolution, channels[order], timestamps[order], duration)
+    return TimeTagStream._trusted(resolution, ch, ts, duration)
 
 
 def _resolution_ps(resolution: float) -> int:
@@ -185,18 +213,23 @@ def read_timetags(path) -> TimeTagStream:
             offset=_HEADER.size + min(len(body), expected),
         )
     records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    timestamps = records["timestamp"].astype(np.int64)
-    if timestamps.size:
-        bad = np.flatnonzero(np.diff(timestamps) < 0)
-        if bad.size:
-            i = int(bad[0]) + 1
-            raise FormatError(
-                f"timestamps decrease at record {i}",
-                offset=_HEADER.size + i * RECORD_SIZE,
-            )
+    stamps = records["timestamp"]
+    bad = np.flatnonzero(stamps[1:] < stamps[:-1])
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise FormatError(
+            f"timestamps decrease at record {i}",
+            offset=_HEADER.size + i * RECORD_SIZE,
+        )
+    if stamps.size and stamps[-1] >= 2**63:
+        i = int(np.searchsorted(stamps, np.uint64(2**63)))
+        raise FormatError(
+            f"timestamp at record {i} exceeds 2**63-1", offset=_HEADER.size + i * RECORD_SIZE
+        )
+    timestamps = stamps.astype(np.int64)
     resolution = res_ps * 1e-12
     duration = float(timestamps[-1] + 1) * resolution if timestamps.size else 0.0
-    return TimeTagStream(resolution, records["channel"].copy(), timestamps, duration)
+    return TimeTagStream._trusted(resolution, records["channel"].copy(), timestamps, duration)
 
 
 def write_timetags_csv(stream: TimeTagStream, path) -> None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from emitterforge import fitkit
 from emitterforge.errors import DomainError
 from emitterforge.fitkit import (
     FitProblem,
@@ -207,3 +208,40 @@ def test_analytic_jacobian_wrong_shape_is_domain_error():
     problem.jacobian = lambda p: jacobian(p).T
     with pytest.raises(DomainError, match="shape"):
         least_squares(problem)
+
+
+def test_finite_difference_jacobian_reuses_current_residual(monkeypatch):
+    # two-parameter exponential decay: the finite-difference Jacobian takes
+    # the residual at the current point from least_squares, which holds it
+    t = np.linspace(0.0, 4.0, 50)
+    y = 2.0 * np.exp(-t / 0.8) + np.random.default_rng(5).normal(0.0, 0.01, t.size)
+    calls = []
+
+    def residual(p):
+        calls.append(1)
+        return (p[0] * np.exp(-t / p[1]) - y) / 0.01
+
+    problem = FitProblem(
+        residual, x0=np.array([1.0, 1.0]),
+        lower=np.array([0.0, 1e-6]), upper=np.array([100.0, 100.0]),
+    )
+    reused = least_squares(problem)
+    reused_calls = len(calls)
+
+    # the same fit with every Jacobian evaluating its own base residual
+    own_base = fitkit._jacobian_with_flags
+    monkeypatch.setattr(
+        fitkit, "_jacobian_with_flags",
+        lambda residual, params, rel_step, lower, upper, r0: own_base(
+            residual, params, rel_step, lower, upper
+        ),
+    )
+    calls.clear()
+    recomputed = least_squares(problem)
+
+    assert reused.converged
+    n_jacobians = reused.iterations + 1  # the initial point and each accepted step
+    assert len(calls) - reused_calls == n_jacobians
+    assert np.array_equal(reused.params, recomputed.params)
+    assert reused.iterations == recomputed.iterations
+    assert reused.cost == recomputed.cost

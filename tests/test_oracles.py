@@ -1,0 +1,251 @@
+"""Fast detection and merge paths against their reference implementations.
+
+The oracles are the straightforward versions the fast paths replaced: the
+tag-by-tag dead-time loop and the three-key ``lexsort`` merge. The fast
+paths must agree with them exactly, tag for tag.
+"""
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from emitterforge.errors import DomainError, FormatError
+from emitterforge.photonsim import (
+    _SCALAR_BURSTS,
+    EmitterModel,
+    _dead_time_filter,
+    _emitter_times,
+    simulate_emitter_tags,
+)
+from emitterforge.timetags import (
+    RECORD_SIZE,
+    TimeTagStream,
+    merge_streams,
+    read_timetags,
+    read_timetags_csv,
+    write_timetags,
+)
+
+HEADER_SIZE = struct.calcsize("<4sHQQ")
+
+
+def dead_time_loop(ticks: np.ndarray, dead_ticks: int) -> np.ndarray:
+    """Reference non-paralyzable dead time, one tag at a time."""
+    if dead_ticks <= 0 or ticks.size == 0:
+        return ticks
+    keep = np.zeros(ticks.size, dtype=bool)
+    last = -dead_ticks - 1
+    for i, t in enumerate(ticks.tolist()):
+        if t - last >= dead_ticks:
+            keep[i] = True
+            last = t
+    return ticks[keep]
+
+
+def lexsort_merge(*streams: TimeTagStream) -> TimeTagStream:
+    """Reference merge: one ``lexsort`` on (timestamp, channel, source)."""
+    if not streams:
+        raise DomainError("need at least one stream")
+    resolution = streams[0].resolution
+    for s in streams:
+        if s.resolution != resolution:
+            raise DomainError("streams have mismatched resolutions")
+    channels = np.concatenate([s.channels for s in streams])
+    timestamps = np.concatenate([s.timestamps for s in streams])
+    source = np.concatenate(
+        [np.full(s.n_tags, i, dtype=np.int64) for i, s in enumerate(streams)]
+    )
+    order = np.lexsort((source, channels, timestamps))
+    duration = max(s.duration for s in streams)
+    return TimeTagStream(resolution, channels[order], timestamps[order], duration)
+
+
+def _check_dead_time(ticks, dead_ticks):
+    ticks = np.asarray(ticks, dtype=np.int64)
+    expected = dead_time_loop(ticks, dead_ticks)
+    got = _dead_time_filter(ticks, dead_ticks)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected.tolist()
+
+
+# -- dead time ----------------------------------------------------------
+
+sorted_ticks = st.lists(st.integers(0, 400), max_size=300).map(sorted)
+
+
+@settings(deadline=None)
+@given(ticks=sorted_ticks, dead_ticks=st.integers(0, 60))
+def test_dead_time_matches_loop(ticks, dead_ticks):
+    _check_dead_time(ticks, dead_ticks)
+
+
+@settings(deadline=None)
+@given(ticks=st.lists(st.integers(0, 30), max_size=200).map(sorted))
+def test_dead_time_one_tick_drops_only_ties(ticks):
+    _check_dead_time(ticks, 1)
+    assert _dead_time_filter(np.asarray(ticks, np.int64), 1).tolist() == sorted(set(ticks))
+
+
+@settings(deadline=None)
+@given(
+    gaps=st.lists(st.integers(0, 9), min_size=1, max_size=2000),
+    dead_ticks=st.integers(10, 200),
+)
+def test_dead_time_one_long_burst(gaps, dead_ticks):
+    # every gap is shorter than the dead time: one burst, walked tag by tag
+    _check_dead_time(np.cumsum(gaps), dead_ticks)
+
+
+@settings(deadline=None)
+@given(
+    bursts=st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=40),
+        min_size=_SCALAR_BURSTS + 1,
+        max_size=6 * _SCALAR_BURSTS,
+    ),
+    dead_ticks=st.integers(8, 30),
+    extra=st.integers(0, 50),
+)
+def test_dead_time_many_bursts(bursts, dead_ticks, extra):
+    # more bursts than the scalar tail, of mixed lengths, separated by gaps
+    # of at least the dead time (exactly the dead time when extra is 0)
+    ticks, t = [], 0
+    for gaps in bursts:
+        t += dead_ticks + extra
+        for g in gaps:
+            t += g
+            ticks.append(t)
+    _check_dead_time(ticks, dead_ticks)
+
+
+@pytest.mark.parametrize("dead_ticks", [0, 1, 5])
+def test_dead_time_empty_and_zero(dead_ticks):
+    _check_dead_time([], dead_ticks)
+    ticks = np.array([0, 0, 3, 3, 3, 9], np.int64)
+    _check_dead_time(ticks, dead_ticks)
+    if dead_ticks == 0:
+        assert _dead_time_filter(ticks, 0) is ticks
+
+
+# -- merge ----------------------------------------------------------------
+
+@st.composite
+def streams(draw):
+    n = draw(st.integers(0, 40))
+    ticks = sorted(draw(st.lists(st.integers(0, 25), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        channels = [draw(st.integers(0, 3))] * n
+    else:
+        channels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    duration = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    return TimeTagStream(1e-12, np.asarray(channels, np.uint8), np.asarray(ticks, np.int64), duration)
+
+
+def _check_merge(inputs):
+    expected = lexsort_merge(*inputs)
+    got = merge_streams(*inputs)
+    assert got.resolution == expected.resolution
+    assert got.duration == expected.duration
+    assert got.timestamps.dtype == np.int64 and got.channels.dtype == np.uint8
+    assert got.timestamps.tolist() == expected.timestamps.tolist()
+    assert got.channels.tolist() == expected.channels.tolist()
+
+
+@settings(deadline=None)
+@given(inputs=st.lists(streams(), min_size=1, max_size=6))
+def test_merge_matches_lexsort(inputs):
+    _check_merge(inputs)
+
+
+@settings(deadline=None)
+@given(
+    ticks=st.lists(st.integers(0, 5), max_size=60).map(sorted),
+    data=st.data(),
+)
+def test_merge_one_mixed_stream_sorts_ties_by_channel(ticks, data):
+    channels = data.draw(st.lists(st.integers(0, 2), min_size=len(ticks), max_size=len(ticks)))
+    stream = TimeTagStream(1e-12, np.asarray(channels, np.uint8), np.asarray(ticks, np.int64), 1.0)
+    _check_merge([stream])
+
+
+def test_merge_zero_streams_raises():
+    with pytest.raises(DomainError):
+        merge_streams()
+
+
+def test_merge_empty_and_single_channel_streams():
+    empty = TimeTagStream(1e-12, np.empty(0, np.uint8), np.empty(0, np.int64), 3.0)
+    one = TimeTagStream(1e-12, np.ones(3, np.uint8), np.array([1, 2, 2], np.int64), 1.0)
+    _check_merge([empty])
+    _check_merge([empty, empty])
+    _check_merge([one, empty])
+    _check_merge([empty, one])
+    _check_merge([one])
+
+
+@pytest.mark.parametrize("n_emitters", [0, 1, 2, 5])
+def test_emitter_tags_equal_merge_of_each_emitter(n_emitters):
+    # each emitter quantized on its own, then all ticks sorted together
+    model = EmitterModel(lifetime=50e-9, sat_power=150e-6, sat_rate=2e6)
+    children = np.random.SeedSequence(9).spawn(n_emitters)
+    per_emitter = [
+        TimeTagStream.from_times(
+            _emitter_times(model, 300e-6, 2e-3, np.random.default_rng(c)), 0, 1e-12, 2e-3
+        )
+        for c in children
+    ]
+    got = simulate_emitter_tags([model] * n_emitters, 300e-6, 2e-3, seed=9)
+    assert got.duration == 2e-3 and not got.channels.any()
+    expected = [t for s in per_emitter for t in s.timestamps.tolist()]
+    assert got.timestamps.tolist() == sorted(expected)
+
+
+# -- validation at the public entry points --------------------------------
+
+@pytest.mark.parametrize("ticks", [[3, 2, 5], [-1, 2], [-5], [5, -(2**63)]])
+def test_constructor_rejects_unsorted_or_negative(ticks):
+    with pytest.raises(DomainError):
+        TimeTagStream(1e-12, np.zeros(len(ticks), np.uint8), np.asarray(ticks, np.int64), 1.0)
+
+
+def test_from_times_rejects_negative_time():
+    with pytest.raises(DomainError):
+        TimeTagStream.from_times([-1e-9, 2e-9], 0, 1e-12, 1.0)
+
+
+def _ttg_with_timestamps(path, values):
+    stream = TimeTagStream(1e-12, np.zeros(len(values), np.uint8), np.arange(len(values)), 1.0)
+    write_timetags(stream, path)
+    raw = bytearray(path.read_bytes())
+    for i, v in enumerate(values):
+        off = HEADER_SIZE + i * RECORD_SIZE + 1
+        raw[off:off + 8] = struct.pack("<Q", v)
+    path.write_bytes(bytes(raw))
+
+
+def test_read_timetags_rejects_unsorted(tmp_path):
+    p = tmp_path / "u.ttg"
+    _ttg_with_timestamps(p, [10, 30, 20])
+    with pytest.raises(FormatError) as err:
+        read_timetags(p)
+    assert err.value.offset == HEADER_SIZE + 2 * RECORD_SIZE
+
+
+@pytest.mark.parametrize("values", [[2**63], [2**64 - 1, 2**64 - 1], [5, 2**63]])
+def test_read_timetags_rejects_timestamps_past_int64(tmp_path, values):
+    # a u64 timestamp of 2**63 or more would be negative as int64
+    p = tmp_path / "big.ttg"
+    _ttg_with_timestamps(p, values)
+    with pytest.raises(FormatError) as err:
+        read_timetags(p)
+    assert err.value.offset == HEADER_SIZE + values.index(max(values)) * RECORD_SIZE
+
+
+@pytest.mark.parametrize("rows", [["5", "3"], ["-4"]])
+def test_read_timetags_csv_rejects_unsorted_or_negative(tmp_path, rows):
+    p = tmp_path / "tags.csv"
+    p.write_text("channel,timestamp_ps\n" + "".join(f"0,{r}\n" for r in rows))
+    with pytest.raises(FormatError):
+        read_timetags_csv(p)
