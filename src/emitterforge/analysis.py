@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fitkit
-from .errors import DomainError, FormatError, ZeroSignalWarning
+from .errors import DomainError, ZeroSignalWarning
+from .tables import optional, read_table, write_table
 
 G_CENTER_ZPL = 1278e-9  # zero-phonon line of the carbon G center
 W_CENTER_ZPL = 1218e-9  # zero-phonon line of the W center
+_SPOT_HEADER = "label,rate_cps,background_cps,n_g2,n_estimated"
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
@@ -635,128 +637,55 @@ def write_spot_table(spots: list[SpotMeasurement], estimates, path) -> None:
     """
     if len(estimates) != len(spots):
         raise DomainError("estimates must align with spots")
+    columns = (
+        [s.label for s in spots],
+        [s.rate for s in spots],
+        [s.background for s in spots],
+        ["" if s.n_emitters_g2 is None else s.n_emitters_g2 for s in spots],
+        ["" if est is None else est for est in estimates],
+    )
     with open(path, "w") as fh:
-        fh.write("label,rate_cps,background_cps,n_g2,n_estimated\n")
-        for spot, est in zip(spots, estimates):
-            n_g2 = "" if spot.n_emitters_g2 is None else str(spot.n_emitters_g2)
-            n_est = "" if est is None else str(est)
-            fh.write(
-                f"{spot.label},{spot.rate:.17g},{spot.background:.17g},{n_g2},{n_est}\n"
-            )
+        write_table(fh, _SPOT_HEADER, columns, "%s,%.17g,%.17g,%s,%s")
 
 
 def read_spot_table(path):
     """Read a spot table CSV; returns (spots, estimates) aligned lists."""
-    spots: list[SpotMeasurement] = []
-    estimates: list[int | None] = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "label,rate_cps,background_cps,n_g2,n_estimated":
-            raise FormatError(f"bad spot table header {header!r}", offset=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise FormatError(f"expected 5 fields on line {lineno}", offset=lineno)
-            try:
-                spots.append(
-                    SpotMeasurement(
-                        label=parts[0],
-                        rate=float(parts[1]),
-                        background=float(parts[2]),
-                        n_emitters_g2=int(parts[3]) if parts[3] else None,
-                    )
-                )
-                estimates.append(int(parts[4]) if parts[4] else None)
-            except ValueError:
-                raise FormatError(f"bad number on line {lineno}", offset=lineno) from None
-    return spots, estimates
+    parsers = (str, float, float, optional(int), optional(int))
+    *columns, estimates = read_table(path, {_SPOT_HEADER: parsers}).columns
+    return [SpotMeasurement(*row) for row in zip(*columns)], estimates
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     """Spectrum CSV: wavelength_nm,intensity with the ZPL in a comment."""
+    columns = (spectrum.wavelength * 1e9, spectrum.intensity)
+    meta = {"zpl_nm": spectrum.zpl_wavelength * 1e9}
     with open(path, "w") as fh:
-        fh.write(f"# zpl_nm={spectrum.zpl_wavelength * 1e9:.17g}\n")
-        fh.write("wavelength_nm,intensity\n")
-        for w, i in zip(spectrum.wavelength, spectrum.intensity):
-            fh.write(f"{w * 1e9:.17g},{i:.17g}\n")
+        write_table(fh, "wavelength_nm,intensity", columns, "%.17g,%.17g", meta)
 
 
 def read_spectrum_csv(path, zpl_wavelength: float | None = None) -> Spectrum:
     """Read a spectrum CSV; the ZPL comes from the argument if given, else
     the file's comment, else the G-center default."""
-    wl: list[float] = []
-    inten: list[float] = []
-    zpl_file: float | None = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if tok.startswith("zpl_nm="):
-                        zpl_file = float(tok.split("=", 1)[1]) * 1e-9
-                continue
-            if line == "wavelength_nm,intensity":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"expected 2 fields on line {lineno}", offset=lineno)
-            try:
-                wl.append(float(parts[0]) * 1e-9)
-                inten.append(float(parts[1]))
-            except ValueError:
-                raise FormatError(f"bad number on line {lineno}", offset=lineno) from None
+    table = read_table(path, {"wavelength_nm,intensity": (float, float)}, {"zpl_nm": float})
+    wl, inten = table.columns
+    zpl_file = table.meta["zpl_nm"] * 1e-9 if "zpl_nm" in table.meta else None
     zpl = zpl_wavelength if zpl_wavelength is not None else (zpl_file or G_CENTER_ZPL)
-    return Spectrum(np.asarray(wl), np.asarray(inten), zpl)
+    return Spectrum(np.asarray(wl) * 1e-9, np.asarray(inten), zpl)
 
 
 def write_saturation_csv(power, rate, path, sigma=None) -> None:
     """Saturation CSV: power_uw,rate_cps[,sigma_cps]."""
-    p = np.asarray(power, dtype=float)
-    y = np.asarray(rate, dtype=float)
+    columns = [np.asarray(power, dtype=float) * 1e6, np.asarray(rate, dtype=float)]
+    header, fmt = "power_uw,rate_cps", "%.17g,%.17g"
+    if sigma is not None:
+        columns.append(np.asarray(sigma, dtype=float))
+        header, fmt = header + ",sigma_cps", fmt + ",%.17g"
     with open(path, "w") as fh:
-        if sigma is None:
-            fh.write("power_uw,rate_cps\n")
-            for pw, r in zip(p, y):
-                fh.write(f"{pw * 1e6:.17g},{r:.17g}\n")
-        else:
-            s = np.asarray(sigma, dtype=float)
-            fh.write("power_uw,rate_cps,sigma_cps\n")
-            for pw, r, sg in zip(p, y, s):
-                fh.write(f"{pw * 1e6:.17g},{r:.17g},{sg:.17g}\n")
+        write_table(fh, header, columns, fmt)
 
 
 def read_saturation_csv(path):
     """Read a saturation CSV; returns (power, rate, sigma_or_None)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header == "power_uw,rate_cps":
-            has_sigma = False
-        elif header == "power_uw,rate_cps,sigma_cps":
-            has_sigma = True
-        else:
-            raise FormatError(f"bad saturation header {header!r}", offset=1)
-        power, rate, sig = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != (3 if has_sigma else 2):
-                raise FormatError(f"wrong field count on line {lineno}", offset=lineno)
-            try:
-                power.append(float(parts[0]) * 1e-6)
-                rate.append(float(parts[1]))
-                if has_sigma:
-                    sig.append(float(parts[2]))
-            except ValueError:
-                raise FormatError(f"bad number on line {lineno}", offset=lineno) from None
-    return (
-        np.asarray(power),
-        np.asarray(rate),
-        np.asarray(sig) if has_sigma else None,
-    )
+    headers = {"power_uw,rate_cps": (float,) * 2, "power_uw,rate_cps,sigma_cps": (float,) * 3}
+    power, rate, *sigma = (np.asarray(c) for c in read_table(path, headers).columns)
+    return power * 1e-6, rate, sigma[0] if sigma else None

@@ -35,6 +35,7 @@ from .photonsim import (
     simulate_background_tags,
     simulate_emitter_tags,
 )
+from .tables import count, read_table, write_table
 from .timetags import merge_streams, read_timetags, write_timetags
 from .units import parse_quantity
 
@@ -105,12 +106,9 @@ def _cmd_simulate(args) -> int:
         rate_b = arm_b.n_tags / duration if duration > 0 else 0.0
         rows.append((site.label, n_ions, n_centers, rate_a, rate_b))
 
-    manifest = out_dir / "manifest.csv"
-    with open(manifest, "w") as fh:
-        fh.write(f"# config_hash={cfg.config_hash} seed={seed}\n")
-        fh.write(MANIFEST_HEADER + "\n")
-        for label, n_ions, n_centers, rate_a, rate_b in rows:
-            fh.write(f"{label},{n_ions},{n_centers},{rate_a:.17g},{rate_b:.17g}\n")
+    meta = {"config_hash": cfg.config_hash, "seed": seed}
+    with open(out_dir / "manifest.csv", "w") as fh:
+        write_table(fh, MANIFEST_HEADER, zip(*rows), "%s,%d,%d,%.17g,%.17g", meta)
     print(f"simulated {len(rows)} sites into {out_dir}")
     return 0
 
@@ -184,25 +182,9 @@ def _cmd_g2(args) -> int:
 
 def _read_counts(path) -> np.ndarray:
     """Counts from a simulate manifest (n_centers column) or one-per-line."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    counts: list[int] = []
-    is_manifest = any(line.strip() == MANIFEST_HEADER for line in lines[:3])
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line == MANIFEST_HEADER:
-            continue
-        try:
-            if is_manifest:
-                parts = line.split(",")
-                if len(parts) != 5:
-                    raise ValueError
-                counts.append(int(parts[2]))
-            else:
-                counts.append(int(float(line)))
-        except ValueError:
-            raise FormatError(f"bad count on line {lineno}", offset=lineno) from None
-    return np.asarray(counts, dtype=np.int64)
+    manifest = (str, count, count, float, float)
+    table = read_table(path, {MANIFEST_HEADER: manifest, None: (count,)})
+    return np.asarray(table.columns[2 if table.header else 0], dtype=np.int64)
 
 
 def _cmd_stats(args) -> int:

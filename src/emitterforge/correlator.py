@@ -26,12 +26,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fitkit
-from .errors import CorrectionWarning, DomainError
+from .errors import CorrectionWarning, DomainError, FormatError
+from .tables import count, positive, read_table, write_table
 from .timetags import TimeTagStream
 
 DEFAULT_BIN_WIDTH = 1e-9
 DEFAULT_WINDOW = 250e-9
 _A_CHUNK = 200_000  # bound the pair-array memory
+_HISTOGRAM_HEADER = "tau_ns,g2,sigma,raw"
+_HISTOGRAM_META = {
+    "bin_width_ps": positive,
+    "window_ps": float,
+    "rate_a_cps": float,
+    "rate_b_cps": float,
+    "total_time_s": float,
+    "resolution_ps": positive,
+}
 
 
 @dataclass
@@ -480,70 +490,31 @@ def max_emitters_from_g2(g2_zero: float) -> int | None:
 
 def write_histogram_csv(hist: G2Histogram, path) -> None:
     """CSV rendering ``tau_ns,g2,sigma,raw`` with a metadata comment line."""
+    values = (hist.bin_width * 1e12, hist.window * 1e12, hist.rate_a, hist.rate_b,
+              hist.total_time, hist.resolution * 1e12)
+    meta = dict(zip(_HISTOGRAM_META, values))
+    columns = (hist.tau * 1e9, hist.g2, hist.sigma, hist.raw)
     with open(path, "w") as fh:
-        fh.write(
-            "# bin_width_ps={:.17g} window_ps={:.17g} rate_a_cps={:.17g} "
-            "rate_b_cps={:.17g} total_time_s={:.17g} resolution_ps={:.17g}\n".format(
-                hist.bin_width * 1e12,
-                hist.window * 1e12,
-                hist.rate_a,
-                hist.rate_b,
-                hist.total_time,
-                hist.resolution * 1e12,
-            )
-        )
-        fh.write("tau_ns,g2,sigma,raw\n")
-        for t, g, s, r in zip(hist.tau, hist.g2, hist.sigma, hist.raw.tolist()):
-            fh.write(f"{t * 1e9:.17g},{g:.17g},{s:.17g},{r}\n")
+        write_table(fh, _HISTOGRAM_HEADER, columns, "%.17g,%.17g,%.17g,%d", meta)
 
 
 def read_histogram_csv(path) -> G2Histogram:
     """Read a histogram CSV written by :func:`write_histogram_csv`."""
-    from .errors import FormatError
-
-    meta: dict[str, float] = {}
-    tau, g2, sigma, raw = [], [], [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        key, val = tok.split("=", 1)
-                        try:
-                            meta[key] = float(val)
-                        except ValueError:
-                            raise FormatError(
-                                f"bad metadata value {tok!r} on line {lineno}", offset=lineno
-                            ) from None
-                continue
-            if line == "tau_ns,g2,sigma,raw":
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise FormatError(f"expected 4 fields on line {lineno}", offset=lineno)
-            try:
-                tau.append(float(parts[0]) * 1e-9)
-                g2.append(float(parts[1]))
-                sigma.append(float(parts[2]))
-                raw.append(int(parts[3]))
-            except ValueError:
-                raise FormatError(f"bad number on line {lineno}", offset=lineno) from None
-            if not 0 <= raw[-1] < 2**63:
-                raise FormatError(
-                    f"raw count {raw[-1]} outside 0..2**63-1 on line {lineno}", offset=lineno
-                )
-    required = {"bin_width_ps", "window_ps", "rate_a_cps", "rate_b_cps", "total_time_s", "resolution_ps"}
-    if not required.issubset(meta):
+    table = read_table(
+        path, {_HISTOGRAM_HEADER: (float, float, float, count)}, _HISTOGRAM_META, min_rows=1
+    )
+    meta = table.meta
+    if meta.keys() != _HISTOGRAM_META.keys():
         raise FormatError("histogram CSV is missing its metadata comment", offset=1)
-    raw_arr = np.asarray(raw, dtype=np.int64)
-    g2_arr = np.asarray(g2)
-    sigma_arr = np.asarray(sigma)
+    tau, g2, sigma, raw = table.columns
+    if len(raw) % 2 == 0:
+        raise FormatError(f"{len(raw)} bins, expected an odd number", offset=table.lines[-1])
     res = meta["resolution_ps"] * 1e-12
-    bin_ticks = int(round(meta["bin_width_ps"] * 1e-12 / res))
-    m_bins = (raw_arr.size - 1) // 2
+    ticks = meta["bin_width_ps"] * 1e-12 / res
+    bin_ticks = int(round(ticks)) if ticks < 2**62 else 0
+    if bin_ticks < 1:
+        raise FormatError(f"bin width of {ticks!r} ticks is not in 1..2**62", offset=1)
+    m_bins = (len(raw) - 1) // 2
     coverage = _bin_coverage(bin_ticks, m_bins)
     normalizer = (
         meta["rate_a_cps"] * meta["rate_b_cps"] * (coverage * res) * meta["total_time_s"]
@@ -551,10 +522,10 @@ def read_histogram_csv(path) -> G2Histogram:
     return G2Histogram(
         bin_width=meta["bin_width_ps"] * 1e-12,
         window=meta["window_ps"] * 1e-12,
-        tau=np.asarray(tau),
-        g2=g2_arr,
-        sigma=sigma_arr,
-        raw=raw_arr,
+        tau=np.asarray(tau) * 1e-9,
+        g2=np.asarray(g2),
+        sigma=np.asarray(sigma),
+        raw=np.asarray(raw, dtype=np.int64),
         normalizer=normalizer,
         rate_a=meta["rate_a_cps"],
         rate_b=meta["rate_b_cps"],

@@ -12,8 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FormatError
+from .errors import ConfigError, DomainError
+from .tables import read_table, write_table
 from .units import ELEMENTARY_CHARGE, FWHM_PER_SIGMA
+
+_PATTERN_HEADER = "label,x_um,y_um,expected_ions"
 
 #: Per-row mean ion doses of the standard 15-row dose ladder (ions/spot).
 FIB_ROW_DOSES = (6, 9, 13, 16, 25, 33, 45, 61, 83, 113, 153, 208, 283, 384, 500)
@@ -254,49 +257,19 @@ def build_pattern(
 
 def write_pattern_csv(pattern: ImplantPattern, path) -> None:
     """Write sites as ``label,x_um,y_um,expected_ions`` (numbers at 17 digits)."""
+    rows = [(s.label, s.x * 1e6, s.y * 1e6, s.expected_ions) for s in pattern.sites]
+    meta = {"kind": pattern.kind, "pitch_um": pattern.pitch * 1e6}
     with open(path, "w") as fh:
-        fh.write(f"# kind={pattern.kind} pitch_um={pattern.pitch * 1e6:.17g}\n")
-        fh.write("label,x_um,y_um,expected_ions\n")
-        for s in pattern.sites:
-            fh.write(f"{s.label},{s.x * 1e6:.17g},{s.y * 1e6:.17g},{s.expected_ions:.17g}\n")
+        write_table(fh, _PATTERN_HEADER, zip(*rows), "%s,%.17g,%.17g,%.17g", meta)
 
 
 def read_pattern_csv(path) -> ImplantPattern:
     """Read a pattern CSV written by :func:`write_pattern_csv`."""
-    kind = "custom"
-    pitch = 10e-6
-    sites: list[ImplantSite] = []
-    with open(path) as fh:
-        lines = fh.readlines()
-    lineno = 0
-    for raw in lines:
-        lineno += 1
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if tok.startswith("kind="):
-                    kind = tok[5:]
-                elif tok.startswith("pitch_um="):
-                    pitch = float(tok[9:]) * 1e-6
-            continue
-        if line == "label,x_um,y_um,expected_ions":
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"expected 4 fields on line {lineno}", offset=lineno)
-        try:
-            sites.append(
-                ImplantSite(
-                    parts[0],
-                    float(parts[1]) * 1e-6,
-                    float(parts[2]) * 1e-6,
-                    float(parts[3]),
-                )
-            )
-        except ValueError:
-            raise FormatError(f"bad number on line {lineno}", offset=lineno) from None
-    if not sites:
-        raise FormatError("no sites in pattern file", offset=lineno)
-    return ImplantPattern(kind=kind, sites=sites, pitch=pitch)
+    meta = {"kind": str, "pitch_um": float}
+    table = read_table(path, {_PATTERN_HEADER: (str, float, float, float)}, meta, min_rows=1)
+    sites = [
+        ImplantSite(label, x * 1e-6, y * 1e-6, ions)
+        for label, x, y, ions in zip(*table.columns)
+    ]
+    pitch = table.meta["pitch_um"] * 1e-6 if "pitch_um" in table.meta else 10e-6
+    return ImplantPattern(kind=table.meta.get("kind", "custom"), sites=sites, pitch=pitch)

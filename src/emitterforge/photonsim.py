@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .tables import count, read_table, write_table
 from .timetags import TimeTagStream
 
 DEFAULT_RESOLUTION = 1e-12  # 1 ps ticks
@@ -361,47 +362,17 @@ def simulate_pulsed_decay(
 
 def write_decay_csv(hist: DecayHistogram, path) -> None:
     """Write a decay histogram as ``time_ns,counts`` with a metadata comment."""
+    meta = {"n_pulses": hist.n_pulses, "bin_width_ns": hist.bin_width * 1e9}
     with open(path, "w") as fh:
-        fh.write(f"# n_pulses={hist.n_pulses} bin_width_ns={hist.bin_width * 1e9:.17g}\n")
-        fh.write("time_ns,counts\n")
-        for t, c in zip(hist.bin_centers, hist.counts.tolist()):
-            fh.write(f"{t * 1e9:.17g},{c}\n")
+        write_table(fh, "time_ns,counts", (hist.bin_centers * 1e9, hist.counts), "%.17g,%d", meta)
 
 
 def read_decay_csv(path) -> DecayHistogram:
     """Read a ``time_ns,counts`` histogram written by :func:`write_decay_csv`."""
-    from .errors import FormatError
-
-    times: list[float] = []
-    counts: list[int] = []
-    n_pulses = 0
-    meta_width = None
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header.startswith("#"):
-            for entry in header[1:].split():
-                key, _, value = entry.partition("=")
-                if key == "n_pulses":
-                    n_pulses = int(value)
-                elif key == "bin_width_ns":
-                    meta_width = float(value) * 1e-9
-            header = fh.readline().strip()
-        if header != "time_ns,counts":
-            raise FormatError(f"bad CSV header {header!r}", offset=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"expected 2 fields on line {lineno}", offset=lineno)
-            try:
-                times.append(float(parts[0]) * 1e-9)
-                counts.append(int(float(parts[1])))
-            except ValueError:
-                raise FormatError(f"bad number on line {lineno}", offset=lineno) from None
-    if len(times) < 2:
-        raise FormatError("decay histogram needs at least two bins", offset=1)
-    times_arr = np.asarray(times)
-    width = meta_width if meta_width is not None else float(np.median(np.diff(times_arr)))
-    return DecayHistogram(times_arr, np.asarray(counts, np.int64), width, n_pulses=n_pulses)
+    meta = {"n_pulses": count, "bin_width_ns": float}
+    table = read_table(path, {"time_ns,counts": (float, count)}, meta, min_rows=2)
+    times = np.asarray(table.columns[0]) * 1e-9
+    width = table.meta.get("bin_width_ns")
+    width = width * 1e-9 if width is not None else float(np.median(np.diff(times)))
+    counts = np.asarray(table.columns[1], np.int64)
+    return DecayHistogram(times, counts, width, n_pulses=table.meta.get("n_pulses", 0))

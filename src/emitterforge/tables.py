@@ -1,0 +1,138 @@
+"""The package's one CSV dialect: every text table is read and written here.
+
+A table is UTF-8 text. ``#`` comment lines and blank lines may appear
+anywhere, and ``key=value`` tokens in comments are metadata. The first other
+line is a header the reader accepts (only the one-count-per-line input of
+``emitterforge stats`` has none), and each later line is a row of
+comma-separated fields. A reader gives one parser per column and per wanted
+metadata key; a parser returns the value of a field's text or raises
+``ValueError``. Every violation raises :class:`FormatError` whose ``offset``
+is the physical line number (the line after the last for a missing header or
+missing rows).
+"""
+from __future__ import annotations
+
+import math
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from .errors import FormatError
+
+Parser = Callable[[str], object]
+
+
+def count(text: str) -> int:
+    """An integer in 0..2**63-1, written as an integer or as an integral float."""
+    try:
+        value = int(text)
+    except ValueError:
+        number = float(text)
+        if not number.is_integer():
+            raise ValueError(f"{text!r} is not a whole number") from None
+        value = int(number)
+    if not 0 <= value < 2**63:
+        raise ValueError(f"{value} is outside 0..2**63-1")
+    return value
+
+
+def integer(lo: int, hi: int) -> Parser:
+    """Parser of an integer in lo..hi, written as an integer."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise ValueError(f"{value} is outside {lo}..{hi}")
+        return value
+
+    return parse
+
+
+def positive(text: str) -> float:
+    """A finite number above zero."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{text!r} is not a finite positive number")
+    return value
+
+
+def optional(parse: Parser) -> Parser:
+    """Parser that reads an empty field as None and any other with ``parse``."""
+    return lambda text: parse(text) if text else None
+
+
+class Table(NamedTuple):
+    header: str | None  # the header found; None for a headerless table
+    columns: list[list]  # parsed values, one list per column
+    lines: list[int]  # physical line number of each row
+    meta: dict  # parsed values of the wanted metadata keys that were found
+
+
+def _parse(parse: Parser, text: str, name: str, lineno: int):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise FormatError(f"bad {name} {text!r} on line {lineno} ({exc})", offset=lineno) from None
+
+
+def read_table(path, headers: dict, meta: dict | None = None, min_rows: int = 0) -> Table:
+    """Read a table whose header is a key of ``headers``.
+
+    ``headers`` maps each accepted header to its column parsers; the key
+    None accepts a file without a header. ``meta`` maps the wanted metadata
+    keys to their parsers; a key given twice keeps its last value.
+    """
+    meta = meta or {}
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()
+    header = parsers = None
+    found: dict = {}
+    rows: list[list] = []
+    lines: list[int] = []
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise FormatError(f"line {lineno} is not UTF-8 text", offset=lineno) from None
+        if line.startswith("#"):
+            for key, sep, value in (token.partition("=") for token in line[1:].split()):
+                if sep and key in meta:
+                    found[key] = _parse(meta[key], value, key, lineno)
+            continue
+        if not line:
+            continue
+        if parsers is None:
+            header = line if line in headers else None
+            parsers = headers.get(header)
+            if parsers is None:
+                raise FormatError(f"no header on line {lineno}: {line!r}", offset=lineno)
+            names = header.split(",") if header else ["value"] * len(parsers)
+            if header:
+                continue
+        fields = line.split(",")
+        if len(fields) != len(parsers):
+            raise FormatError(
+                f"expected {len(parsers)} fields on line {lineno}, found {len(fields)}",
+                offset=lineno,
+            )
+        rows.append([_parse(*column, lineno) for column in zip(parsers, fields, names)])
+        lines.append(lineno)
+    end = len(raw_lines) + 1
+    if parsers is None and None not in headers:
+        raise FormatError(f"no header, expected one of {list(headers)}", offset=end)
+    if len(rows) < min_rows:
+        raise FormatError(f"expected at least {min_rows} rows, found {len(rows)}", offset=end)
+    columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in headers[header]]
+    return Table(header, columns, lines, found)
+
+
+def write_table(fh, header: str, columns, fmt: str, meta: dict | None = None) -> None:
+    """Write the ``meta`` comment (floats at 17 digits), the header and one
+    ``fmt % row`` line per row of ``columns``; numpy columns are written
+    through ``.tolist()``, so ``fmt`` formats Python numbers."""
+    if meta:
+        tokens = (f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items())
+        fh.write("# " + " ".join(tokens) + "\n")
+    fh.write(header + "\n")
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    fh.writelines(fmt % row + "\n" for row in rows)

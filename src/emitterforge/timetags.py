@@ -23,11 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError
+from .tables import integer, read_table, write_table
 
 MAGIC = b"TTG1"
 VERSION = 1
 _HEADER = struct.Struct("<4sHQQ")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
+_CSV_HEADER = "channel,timestamp_ps"
 RECORD_SIZE = _RECORD_DTYPE.itemsize  # 9 bytes, packed
 
 
@@ -204,15 +206,16 @@ def read_timetags(path) -> TimeTagStream:
         raise FormatError(f"unsupported version {version}", offset=4)
     if res_ps == 0:
         raise FormatError("resolution must be nonzero", offset=6)
-    body = data[_HEADER.size:]
     expected = count * RECORD_SIZE
-    if len(body) != expected:
+    found = len(data) - _HEADER.size
+    if found != expected:
         # offset of the first missing/extra byte
         raise FormatError(
-            f"expected {count} records ({expected} bytes), found {len(body)} bytes",
-            offset=_HEADER.size + min(len(body), expected),
+            f"expected {count} records ({expected} bytes), found {found} bytes",
+            offset=_HEADER.size + min(found, expected),
         )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+    # read the records in place: slicing ``data`` would copy the whole body
+    records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=count, offset=_HEADER.size)
     stamps = records["timestamp"]
     bad = np.flatnonzero(stamps[1:] < stamps[:-1])
     if bad.size:
@@ -235,46 +238,19 @@ def read_timetags(path) -> TimeTagStream:
 def write_timetags_csv(stream: TimeTagStream, path) -> None:
     """CSV rendering with absolute picosecond timestamps."""
     res_ps = _resolution_ps(stream.resolution)
+    times_ps = [ts * res_ps for ts in stream.timestamps.tolist()]
     with open(path, "w") as fh:
-        fh.write("channel,timestamp_ps\n")
-        for ch, ts in zip(stream.channels.tolist(), stream.timestamps.tolist()):
-            fh.write(f"{ch},{ts * res_ps}\n")
+        write_table(fh, _CSV_HEADER, (stream.channels, times_ps), "%d,%d")
 
 
 def read_timetags_csv(path) -> TimeTagStream:
     """Read the CSV rendering back (tick size becomes 1 ps)."""
-    channels: list[int] = []
-    times_ps: list[int] = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "channel,timestamp_ps":
-            raise FormatError(f"bad CSV header {header!r}", offset=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"expected 2 fields on line {lineno}", offset=lineno)
-            try:
-                channel, time_ps = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError(
-                    f"non-integer field on line {lineno}", offset=lineno
-                ) from None
-            if not 0 <= channel <= 255:
-                raise FormatError(
-                    f"channel {channel} outside 0..255 on line {lineno}", offset=lineno
-                )
-            if not 0 <= time_ps < 2**63:
-                raise FormatError(
-                    f"timestamp {time_ps} outside 0..2**63-1 on line {lineno}", offset=lineno
-                )
-            channels.append(channel)
-            times_ps.append(time_ps)
+    table = read_table(path, {_CSV_HEADER: (integer(0, 255), integer(0, 2**63 - 1))})
+    channels, times_ps = table.columns
     timestamps = np.asarray(times_ps, dtype=np.int64)
-    if timestamps.size and np.any(np.diff(timestamps) < 0):
-        i = int(np.flatnonzero(np.diff(timestamps) < 0)[0]) + 1
-        raise FormatError(f"timestamps decrease on line {i + 2}", offset=i + 2)
+    down = np.flatnonzero(timestamps[1:] < timestamps[:-1])
+    if down.size:
+        lineno = table.lines[down[0] + 1]
+        raise FormatError(f"timestamps decrease on line {lineno}", offset=lineno)
     duration = float(timestamps[-1] + 1) * 1e-12 if timestamps.size else 0.0
     return TimeTagStream(1e-12, np.asarray(channels, dtype=np.uint8), timestamps, duration)

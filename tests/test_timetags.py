@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,3 +147,21 @@ def test_csv_out_of_range_field_is_format_error(tmp_path, row):
     with pytest.raises(FormatError, match="line 3") as err:
         read_timetags_csv(p)
     assert err.value.offset == 3
+
+
+def test_read_timetags_reads_records_in_place(tmp_path):
+    # the file bytes, the int64 timestamps and the channel copy come to
+    # about twice the file size; a copy of the record body would add a third
+    n = 1_200_000
+    p = tmp_path / "big.ttg"
+    ticks = np.arange(n, dtype=np.int64) * 7
+    write_timetags(_stream(ticks, channels=ticks % 2, duration=float(n)), p)
+    size = p.stat().st_size
+    tracemalloc.start()
+    try:
+        stream = read_timetags(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.n_tags == n
+    assert peak < 2.5 * size, f"peak {peak / size:.2f} x the file size"
