@@ -680,6 +680,8 @@ def write_saturation_csv(power, rate, path, sigma=None) -> None:
     if sigma is not None:
         columns.append(np.asarray(sigma, dtype=float))
         header, fmt = header + ",sigma_cps", fmt + ",%.17g"
+    if any(c.shape != columns[0].shape for c in columns):
+        raise DomainError("power, rate and sigma must have equal length")
     with open(path, "w") as fh:
         write_table(fh, header, columns, fmt)
 

@@ -11,6 +11,7 @@ error, 5 fit failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -121,6 +122,12 @@ def _simulate_site(
 
     Seeding is per (run seed, site index), so any site can be reproduced
     alone and processing order cannot matter.
+
+    Only detected photons are drawn: both arms share one efficiency, and
+    thinning by it commutes with the split and the jitter, so it is folded
+    into the sources. Thinning the emitter's renewal process scales its
+    detection probability per cycle; thinning a Poisson background scales
+    its rate. The detectors then thin nothing.
     """
     k_ion, k_defect, k_emit, k_bg, k_det = np.random.SeedSequence(
         [seed, index]
@@ -129,14 +136,19 @@ def _simulate_site(
     n_centers = int(
         defectstats.sample_defect_count(n_ions, creation, np.random.default_rng(k_defect))
     )
-    stream = simulate_emitter_tags([emitter] * n_centers, power, duration, k_emit, resolution)
-    if background.rate > 0:
+    eta = detector.efficiency
+    detected = dataclasses.replace(
+        emitter, sat_rate=emitter.sat_rate * eta, collection_efficiency=None
+    )
+    stream = simulate_emitter_tags([detected] * n_centers, power, duration, k_emit, resolution)
+    if background.rate * eta > 0:
         stream = merge_streams(
             stream,
             simulate_background_tags(
-                background.rate, duration, np.random.default_rng(k_bg), resolution
+                background.rate * eta, duration, np.random.default_rng(k_bg), resolution
             ),
         )
+    detector = dataclasses.replace(detector, efficiency=1.0)
     arm_a, arm_b = run_detection(stream, split, detector, detector, np.random.default_rng(k_det))
     return n_ions, n_centers, arm_a, arm_b
 

@@ -115,7 +115,13 @@ def read_table(path, headers: dict, meta: dict | None = None, min_rows: int = 0)
                 f"expected {len(parsers)} fields on line {lineno}, found {len(fields)}",
                 offset=lineno,
             )
-        rows.append([_parse(*column, lineno) for column in zip(parsers, fields, names)])
+        try:
+            rows.append([parse(text) for parse, text in zip(parsers, fields)])
+        except ValueError:
+            # parse the row again field by field to name the culprit
+            for column in zip(parsers, fields, names):
+                _parse(*column, lineno)
+            raise
         lines.append(lineno)
     end = len(raw_lines) + 1
     if parsers is None and None not in headers:

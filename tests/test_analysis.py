@@ -361,3 +361,14 @@ def test_saturation_csv_round_trip(tmp_path):
     write_saturation_csv(p_arr, r, path)
     _, _, none_sigma = read_saturation_csv(path)
     assert none_sigma is None
+
+
+@pytest.mark.parametrize(
+    "rate, sigma",
+    [([1, 2, 3], [1]), ([1, 2], None), ([1, 2], [1, 2]), ([1, 2, 3, 4], [1, 2, 3])],
+)
+def test_saturation_csv_unequal_columns_rejected(tmp_path, rate, sigma):
+    path = tmp_path / "sat.csv"
+    with pytest.raises(DomainError):
+        write_saturation_csv([1e-6, 2e-6, 3e-6], rate, path, sigma=sigma)
+    assert not path.exists()

@@ -10,7 +10,15 @@ rewrite of the detection or merge layers must leave every byte unchanged.
 A deliberate change of the random draw order (for example an exact
 two-level sampler that replaces the geometric/gamma draws) changes these
 bytes by design. Such a change must regenerate the digests below and
-record the change of outputs in CHANGES.md.
+record the change of outputs in CHANGES.md. The efficiency = 0.6 digests
+were last regenerated when ``simulate`` began to fold the detector
+efficiency into the source rates.
+
+The same run is pinned a second time with detector efficiency 1. There
+``simulate`` folds nothing into the source rates and the detector draws
+no efficiency thinning, so those digests keep the sampler and the rest of
+the detection chain pinned across a change that only moves the
+efficiency step (the efficiency 0.6 digests change with it).
 
 The digests were taken with numpy 2.4.6. numpy does not promise that its
 ``Generator`` draws (gamma, exponential, normal, binomial) stay the same
@@ -57,37 +65,69 @@ power = 300 uW
 """
 
 GOLDEN_SHA256 = {
-    "A1.ttg": "3a91f34b444a91ba6b1f913c944c05c60519900746e4685579597d13004c08f2",
-    "B1.ttg": "ce9784b9558c1cb41457b434706c88220e19bf766fa6b252154d3cead5997771",
-    "C1.ttg": "d070ad922eb1c690c4d874acb118c030330acd5f72de3e61993394b12366201a",
-    "D1.ttg": "6bf81b586cab59da01e354c0224b378cd4cffeee366e24a04c10311b0a5ce439",
-    "E1.ttg": "6941f4573f1156b4b6a2637bf603c83969f56bf1eb2bc7703c2e4017afdf69d6",
-    "F1.ttg": "7bfca42f95217fd1b7312eed4a02272dbf7bd63c6b907ca2217ddcb8debc96c0",
-    "G1.ttg": "ca8cd68e158f4183f212cd1ded3b063b2092595d6b614ce3557f396cca1b6b5b",
-    "H1.ttg": "ac224da3613d39479fec0d71e3998b89f277d24e8b0b05a5e414d18999158c9e",
-    "I1.ttg": "1868880114b0854013888a53ead663f4af8889647dc839d4606537315259bc9d",
-    "J1.ttg": "216389f87fe70d0407abf3dc14f8ff844f3e778cc0dec6a2585bb7be982814a2",
-    "K1.ttg": "9bc075a49a8e452563b5991af0343334aefaf7657c66d44f20bf4ee3f499000a",
-    "L1.ttg": "e534db0b54ba4fc93db430964f1a2890326bb53c23a92d6745f296dafae4f24b",
-    "M1.ttg": "ef6196b7a7a4e9e519085126567e568c0ce6578f49b60b09437ac760ed95fcff",
-    "N1.ttg": "42ee216ddca538b791118454fc4ec3b3dee3da75998034a4945847e097fa66a5",
-    "O1.ttg": "6e8de1c4a119903f290f0727b3cdcd9f2610b2b95794d580d02b3e15cac051bd",
-    "P1.ttg": "ccef38ae9ede6d2b403e64c361ebeb4e375ef0c4cc398658d4a610c0ad3dfcc1",
-    "manifest.csv": "7a879588fc59c25bd35ee611d41a1bd3c4b41acd4c2eb7d3d6f09d4bcdb7d356",
+    "A1.ttg": "e47b915e1b257d2b2cd5153c951d34ed66f84f75e7f9fd4bc83eef8e96680881",
+    "B1.ttg": "4d1d0be171b016125b5d4dea0f8176a182e3fe95c534900b81117531cd051917",
+    "C1.ttg": "ec791434a5fe4561587d8185c9f9d95325a9d5e6d127afa1c2cb425a17694b7c",
+    "D1.ttg": "de68b5504bf0a83668e1bad8bf2b531369893378dc2a59a9f686d4fc937fffbb",
+    "E1.ttg": "a01ba632c6dcf4b8cf4845ad4febc2a8f4babccec4bfd21da4fc9f14e7405d05",
+    "F1.ttg": "f78d07eeb973960d57b454f4af59ad04293f5aff3b93f91550d0693cdcb261ca",
+    "G1.ttg": "a10aae62571e0ae0dc90c351a67f17919bf071c7ddfb7e0a2a3410bfaa02778d",
+    "H1.ttg": "c798b5a808ae29f79a8a4b06270b69658d6d50f4e216ef19c172aa2608d26d3f",
+    "I1.ttg": "df82a1ecea63bc6368b14b45b94bd723b04ac0be98ad1ef29555baafdc73cc67",
+    "J1.ttg": "fcae9d5c089f751dd037c801a84d7336ae9aba8d6d1f13c497702122e95309b9",
+    "K1.ttg": "8ab681869e91f7f10caf26f1b760e88248411a23a2e5aa3d4df5ee5ae31fb044",
+    "L1.ttg": "76f1edb14afece0ae44780a53456adf4e3c4f2b3c52db5d643305d441152cd0d",
+    "M1.ttg": "4321ca060571af0db5f508462f8eaa4dfe7790aa663e6decf1f600cc5c847e3c",
+    "N1.ttg": "632fde99f630c544f0da8ce23e3fb31492584373ce25a1b3a7ec2c0388a04e80",
+    "O1.ttg": "0f91652ae965d76c65501ca2f33be34fca251b17451bc3bebafe6bb26c256960",
+    "P1.ttg": "8cbbafa570f5717dc8b5df9630784686fa7355c699d4f29ea74d0486d7a91464",
+    "manifest.csv": "3d20113da8e2e1554dd0944b1e800f99971bbdb5608400d33acf3282aa5733a1",
 }
 
 
-def test_simulate_output_matches_golden_digests(tmp_path):
+# the same run with a perfect detector
+UNIT_EFFICIENCY_INI = GOLDEN_INI.replace("efficiency = 0.6", "efficiency = 1")
+
+UNIT_EFFICIENCY_SHA256 = {
+    "A1.ttg": "ce6de7c37df25a81858798445d26efa01227498db35361fd116ffce367ee67d5",
+    "B1.ttg": "b492bf65dee72c29cab7c029ed2c06a309aebd429ade25de25194b7e45ffc060",
+    "C1.ttg": "757be93ce68575c88b161d312899489d40cfcdca848598ce8a418d225e2c7932",
+    "D1.ttg": "d188359e00eedcc452acc60d658a8793c10dd01e8027fee69693fdaca5cbcef6",
+    "E1.ttg": "86e028a3bde1c78a50ec9e2eecbb28afd8fd0d1e516ec7fc0f13a0b346735a40",
+    "F1.ttg": "518abeb9672f8b361ff3cdf785adbfc94806702cdb144729a94162182a8e3863",
+    "G1.ttg": "1c2bcb1757ab0867c05de3b1deea1111da187b46a3909875ab095b694de30384",
+    "H1.ttg": "52a3259fcc2c0f72d0d331f6f44fdb87e581c2526ba578e4ac5338547015cc3f",
+    "I1.ttg": "521885b465b49421dec08cbd73612186aab0b9c67ee771f270a360b894b34f23",
+    "J1.ttg": "27151b4b69a98bcf2550a0a51bd77b2ccd191979375478aa4533e1b4af51ecf0",
+    "K1.ttg": "664003574487ff2bbdc0fc4c0993824b430e3d1af096904d30e3c904d071a0af",
+    "L1.ttg": "13f8c0c46936e21f4b01c0cabc1d70b935fd704c5f48a0798078bf14d9c1c013",
+    "M1.ttg": "f8226dda5254c3d1c642db6c468b5c6b44f41b7c8a326dc13d11f111e30b9ec7",
+    "N1.ttg": "ee759b8c0df9b840c8c94076625c746939a887ad1a5aaf29de63b07a0a5f3181",
+    "O1.ttg": "52d6d7b586a7dbcec7ddde6b43743614446359058745f2975eb7ece3e35e0073",
+    "P1.ttg": "8049663c7cfa092257788d91d68516b78c93b1bccc634db4ba042cb6b26b071b",
+    "manifest.csv": "e297c251708d15de0a90adef1a66b0bb0dab06ef37f7a06b1d007152b3dda2b7",
+}
+
+
+def _check_digests(tmp_path, ini_text, expected):
     ini = tmp_path / "golden.ini"
-    ini.write_text(GOLDEN_INI)
+    ini.write_text(ini_text)
     out = tmp_path / "run"
     assert main(["simulate", str(ini), str(out)]) == 0
     digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
     }
-    assert sorted(digests) == sorted(GOLDEN_SHA256)
-    changed = sorted(name for name in digests if digests[name] != GOLDEN_SHA256[name])
+    assert sorted(digests) == sorted(expected)
+    changed = sorted(name for name in digests if digests[name] != expected[name])
     assert not changed, (
         f"output bytes changed in {changed} (digests taken with numpy "
         f"{GOLDEN_NUMPY}, running numpy {np.__version__})"
     )
+
+
+def test_simulate_output_matches_golden_digests(tmp_path):
+    _check_digests(tmp_path, GOLDEN_INI, GOLDEN_SHA256)
+
+
+def test_simulate_unit_efficiency_matches_golden_digests(tmp_path):
+    _check_digests(tmp_path, UNIT_EFFICIENCY_INI, UNIT_EFFICIENCY_SHA256)

@@ -1,16 +1,19 @@
-"""Fast detection and merge paths against their reference implementations.
+"""Fast detection, merge and correlation paths against reference versions.
 
 The oracles are the straightforward versions the fast paths replaced: the
-tag-by-tag dead-time loop and the three-key ``lexsort`` merge. The fast
-paths must agree with them exactly, tag for tag.
+tag-by-tag dead-time loop, the three-key ``lexsort`` merge and a pair-by-pair
+coincidence count. The fast paths must agree with them exactly, tag for tag
+and bin for bin.
 """
 import struct
+from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emitterforge.correlator import correlate, correlate_chunked
 from emitterforge.errors import DomainError, FormatError
 from emitterforge.photonsim import (
     _SCALAR_BURSTS,
@@ -249,3 +252,58 @@ def test_read_timetags_csv_rejects_unsorted_or_negative(tmp_path, rows):
     p.write_text("channel,timestamp_ps\n" + "".join(f"0,{r}\n" for r in rows))
     with pytest.raises(FormatError):
         read_timetags_csv(p)
+
+
+# -- correlator -----------------------------------------------------------
+
+
+def brute_force_counts(a_ticks, b_ticks, bin_ticks: int, m_bins: int) -> list[int]:
+    """Reference coincidence counts: every pair, delay b - a divided by the
+    bin width in exact decimal arithmetic and rounded half away from zero
+    (``ROUND_HALF_UP``), kept when the bin index is within +-m_bins."""
+    raw = [0] * (2 * m_bins + 1)
+    for a in a_ticks:
+        for b in b_ticks:
+            k = int((Decimal(b - a) / bin_ticks).to_integral_value(ROUND_HALF_UP))
+            if abs(k) <= m_bins:
+                raw[k + m_bins] += 1
+    return raw
+
+
+@st.composite
+def correlation_cases(draw):
+    """Small streams whose delays often sit exactly on a bin edge
+    (k + 1/2 bin widths, an integer tick count when ``bin_ticks`` is
+    even), one tick either side of it, or on the window's outer edge."""
+    bin_ticks = draw(st.integers(1, 12))
+    m_bins = draw(st.integers(1, 6))
+    a_ticks = draw(st.lists(st.integers(0, 200), min_size=1, max_size=12))
+    half = bin_ticks // 2
+    edges = [
+        sign * (k * bin_ticks + half) + nudge
+        for sign in (-1, 1)
+        for k in range(m_bins + 2)
+        for nudge in (-1, 0, 1)
+    ]
+    near = st.tuples(st.sampled_from(a_ticks), st.sampled_from(edges)).map(sum)
+    b_ticks = draw(
+        st.lists(st.one_of(near, near, st.integers(0, 200)), min_size=1, max_size=25)
+    )
+    b_ticks = [max(t, 0) for t in b_ticks]
+    n_chunks = draw(st.integers(1, 8))
+    return sorted(a_ticks), sorted(b_ticks), bin_ticks, m_bins, n_chunks
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=correlation_cases())
+def test_correlate_matches_brute_force_pair_count(case):
+    a_ticks, b_ticks, bin_ticks, m_bins, n_chunks = case
+    duration = (max(a_ticks + b_ticks) + 1) * 1e-12
+    a = TimeTagStream(1e-12, np.zeros(len(a_ticks), np.uint8), a_ticks, duration)
+    b = TimeTagStream(1e-12, np.ones(len(b_ticks), np.uint8), b_ticks, duration)
+    bin_width, window = bin_ticks * 1e-12, m_bins * bin_ticks * 1e-12
+    expected = brute_force_counts(a_ticks, b_ticks, bin_ticks, m_bins)
+    hist = correlate(a, b, bin_width=bin_width, window=window)
+    assert hist.raw.tolist() == expected
+    chunked = correlate_chunked(a, b, bin_width=bin_width, window=window, n_chunks=n_chunks)
+    assert chunked.raw.tolist() == expected

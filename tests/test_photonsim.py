@@ -1,9 +1,14 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from scipy.linalg import expm, null_space
+from test_correlator import three_level_g2_theory
 
+from emitterforge.cli import _simulate_site
+from emitterforge.correlator import _bin_subsamples, correlate, g2_model, rho_from_rates
+from emitterforge.defectstats import CreationModel
 from emitterforge.errors import DomainError
 from emitterforge.photonsim import (
     BackgroundModel,
@@ -17,6 +22,7 @@ from emitterforge.photonsim import (
     steady_state_rate,
     write_decay_csv,
 )
+from emitterforge.timetags import merge_streams
 
 TWO_LEVEL = dict(lifetime=50e-9, sat_power=150e-6, sat_rate=2e6)
 THREE_LEVEL = dict(
@@ -211,3 +217,98 @@ def test_decay_csv_round_trip(tmp_path):
     assert back.bin_centers == pytest.approx(h.bin_centers)
     assert back.bin_width == pytest.approx(h.bin_width)
     assert back.n_pulses == h.n_pulses
+
+
+# ------------------------------------------- efficiency folded into sources
+#
+# ``simulate`` draws only detected photons: it scales the emitter's
+# saturated rate and the background rate by the detector efficiency and
+# runs the detectors with efficiency 1. The tests below run that chain and
+# the photon-by-photon chain (every photon drawn, then thinned by the
+# detectors) on one shelving emitter with background, jitter, dead time
+# and dark counts, and check that the two agree in law. The emitter's
+# collection efficiency is high (0.8), so the two chains' detection
+# probabilities per cycle differ widely and a wrong shelving conditional
+# in the thinned process would show.
+
+FOLD_EMITTER = EmitterModel(
+    lifetime=50e-9, sat_power=150e-6, sat_rate=1.6e7,
+    shelving_rate=2e6, deshelving_rate=1e6,
+)
+FOLD_DETECTOR = DetectorModel(
+    efficiency=0.6, jitter_sigma=50e-12, dead_time=20e-9, dark_rate=200.0
+)
+FOLD_BACKGROUND = BackgroundModel(rate=2e5)
+FOLD_POWER_REL = 0.3
+FOLD_POWER = FOLD_POWER_REL * FOLD_EMITTER.sat_power
+FOLD_DURATION = 0.04
+FOLD_SEEDS = range(8)
+
+
+def _folded_arms(seed):
+    """Both arms of one site through ``simulate``'s own chain. A dose of
+    1000 ions at 600 ions per centre makes one centre at any plausible
+    Poisson ion count."""
+    site = types.SimpleNamespace(expected_ions=1000.0)
+    creation = CreationModel(p_success=1.0, atoms_per_center=600)
+    _, n_centers, arm_a, arm_b = _simulate_site(
+        site, 0, seed, creation, FOLD_EMITTER, FOLD_BACKGROUND,
+        FOLD_DETECTOR, 0.5, FOLD_DURATION, FOLD_POWER, 1e-12,
+    )
+    assert n_centers == 1
+    return arm_a, arm_b
+
+
+def _unfolded_arms(seed):
+    """The same site with every photon drawn and thinned by the detectors."""
+    k_emit, k_bg, k_det = np.random.SeedSequence([seed, 1]).spawn(3)
+    stream = merge_streams(
+        simulate_emitter_tags(FOLD_EMITTER, FOLD_POWER, FOLD_DURATION, k_emit),
+        simulate_background_tags(FOLD_BACKGROUND.rate, FOLD_DURATION, k_bg),
+    )
+    return run_detection(stream, 0.5, FOLD_DETECTOR, FOLD_DETECTOR, k_det)
+
+
+@pytest.fixture(scope="module")
+def fold_runs():
+    return {
+        "folded": [_folded_arms(seed) for seed in FOLD_SEEDS],
+        "unfolded": [_unfolded_arms(seed) for seed in FOLD_SEEDS],
+    }
+
+
+def test_fold_keeps_arm_rates(fold_runs):
+    for arm in (0, 1):
+        folded = np.array([arms[arm].n_tags for arms in fold_runs["folded"]])
+        unfolded = np.array([arms[arm].n_tags for arms in fold_runs["unfolded"]])
+        # the seed-to-seed spread, since shelving bunches the counts
+        sigma = math.sqrt(len(FOLD_SEEDS) * (folded.var(ddof=1) + unfolded.var(ddof=1)))
+        assert abs(int(folded.sum()) - int(unfolded.sum())) < 4.0 * sigma
+
+
+def _g2_reduced_chi2(runs):
+    """Pearson chi2 per bin of the summed cross-correlation against the
+    bin-averaged three-level g2, diluted by the arms' uncorrelated light."""
+    hists = [correlate(a, b, bin_width=10e-9, window=2e-6) for a, b in runs]
+    raw = sum(h.raw for h in hists)
+    normalizer = sum(h.normalizer for h in hists)
+    tau1, tau2, a = three_level_g2_theory(
+        FOLD_EMITTER.lifetime, FOLD_EMITTER.shelving_rate, FOLD_EMITTER.deshelving_rate,
+        FOLD_POWER_REL,
+    )
+    g2 = g2_model(_bin_subsamples(hists[0]), 1.0, a, tau1, tau2).mean(axis=1)
+    eta = FOLD_DETECTOR.efficiency
+    uncorrelated = 0.5 * eta * FOLD_BACKGROUND.rate + FOLD_DETECTOR.dark_rate
+    total = len(runs) * FOLD_DURATION
+    rho_a, rho_b = (
+        rho_from_rates(sum(arms[arm].n_tags for arms in runs) / total, uncorrelated)
+        for arm in (0, 1)
+    )
+    expected = normalizer * (1.0 + rho_a * rho_b * (g2 - 1.0))
+    return float(np.sum((raw - expected) ** 2 / expected)) / raw.size, raw.size
+
+
+@pytest.mark.parametrize("chain", ["folded", "unfolded"])
+def test_fold_keeps_three_level_g2(fold_runs, chain):
+    chi2, n_bins = _g2_reduced_chi2(fold_runs[chain])
+    assert abs(chi2 - 1.0) < 4.0 * math.sqrt(2.0 / n_bins)
