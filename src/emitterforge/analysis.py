@@ -16,11 +16,11 @@ import numpy as np
 from . import fitkit
 from .errors import DomainError, ZeroSignalWarning
 from .tables import optional, read_table, write_table
+from .units import FWHM_PER_SIGMA
 
 G_CENTER_ZPL = 1278e-9  # zero-phonon line of the carbon G center
 W_CENTER_ZPL = 1218e-9  # zero-phonon line of the W center
 _SPOT_HEADER = "label,rate_cps,background_cps,n_g2,n_estimated"
-FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
 @dataclass

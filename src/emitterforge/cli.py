@@ -137,9 +137,7 @@ def _simulate_site(
         defectstats.sample_defect_count(n_ions, creation, np.random.default_rng(k_defect))
     )
     eta = detector.efficiency
-    detected = dataclasses.replace(
-        emitter, sat_rate=emitter.sat_rate * eta, collection_efficiency=None
-    )
+    detected = dataclasses.replace(emitter, sat_rate=emitter.sat_rate * eta)
     stream = simulate_emitter_tags([detected] * n_centers, power, duration, k_emit, resolution)
     if background.rate * eta > 0:
         stream = merge_streams(

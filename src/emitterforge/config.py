@@ -2,7 +2,7 @@
 
 One config file describes a whole simulated run: the implant pattern, the
 defect-creation model, the emitter photophysics, background, detectors and
-correlator settings. Values carry explicit unit suffixes ("110 uW",
+the run itself. Values carry explicit unit suffixes ("110 uW",
 "10 ns", "2 um") and are stored in SI; unknown sections or keys are
 rejected so typos cannot silently change a run.
 """
@@ -15,7 +15,6 @@ import configparser
 
 from .defectstats import CreationModel
 from .errors import ConfigError
-from .implantation import StraggleParams
 from .photonsim import BackgroundModel, DetectorModel, EmitterModel
 from .units import parse_int, parse_quantity
 
@@ -28,10 +27,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "rows": "int",
         "frame_size": "length",
         "frame_width": "length",
-        "beam_fwhm": "length",
-        "mean_depth": "length",
-        "straggle_lateral": "length",
-        "straggle_depth": "length",
     },
     "creation": {
         "p_success": "dimensionless",
@@ -46,7 +41,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
     },
     "background": {
         "rate": "rate",
-        "decay_time": "time",
     },
     "detectors": {
         "efficiency": "dimensionless",
@@ -54,10 +48,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "dead_time": "time",
         "dark_rate": "rate",
         "split_ratio": "dimensionless",
-    },
-    "correlator": {
-        "bin_width": "time",
-        "window": "time",
     },
     "run": {
         "seed": "int",
@@ -96,13 +86,6 @@ class RunConfig:
         return self.values[section][key]
 
     # -- model builders ------------------------------------------------
-    def straggle(self) -> StraggleParams:
-        return StraggleParams(
-            mean_depth=self.get("pattern", "mean_depth", 60e-9),
-            sigma_lateral=self.get("pattern", "straggle_lateral", 25e-9),
-            sigma_depth=self.get("pattern", "straggle_depth", 20e-9),
-        )
-
     def pattern_args(self) -> dict:
         kind = self.require("pattern", "kind")
         args = {
@@ -110,7 +93,6 @@ class RunConfig:
             "pitch": self.get("pattern", "pitch", 10e-6),
             "fluence_per_cm2": self.get("pattern", "fluence_per_cm2"),
             "rows": self.get("pattern", "rows"),
-            "straggle": self.straggle(),
         }
         if self.has("pattern", "frame_size"):
             args["frame_size"] = self.get("pattern", "frame_size")
@@ -134,10 +116,7 @@ class RunConfig:
         )
 
     def background_model(self) -> BackgroundModel:
-        return BackgroundModel(
-            rate=self.get("background", "rate", 0.0),
-            decay_time=self.get("background", "decay_time", 70e-9),
-        )
+        return BackgroundModel(rate=self.get("background", "rate", 0.0))
 
     def detector_model(self) -> DetectorModel:
         return DetectorModel(
@@ -168,7 +147,10 @@ def load_config(path) -> RunConfig:
     values: dict = {}
     for section in parser.sections():
         if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]", key=section)
+            raise ConfigError(
+                f"unknown config section [{section}] with keys {parser.options(section)}",
+                key=section,
+            )
         schema = _SCHEMA[section]
         values[section] = {}
         for key, text in parser.items(section):

@@ -135,8 +135,36 @@ def _bin_coverage(bin_ticks: int, m_bins: int) -> np.ndarray:
     return cov
 
 
-def _histogram_frame(a: TimeTagStream, b: TimeTagStream, bin_width: float, window: float):
-    """Validate inputs and compute the shared binning geometry."""
+def correlate(
+    a: TimeTagStream,
+    b: TimeTagStream,
+    bin_width: float = DEFAULT_BIN_WIDTH,
+    window: float = DEFAULT_WINDOW,
+) -> G2Histogram:
+    """Multi-stop cross-correlation of two channels.
+
+    The normalizer ``rate_a * rate_b * bin_coverage * total_time`` makes an
+    uncorrelated (Poisson) pair average to g2 = 1. A window longer than the
+    acquisition is allowed but flagged ('window_exceeds_duration').
+    """
+    return correlate_chunked(a, b, bin_width, window, n_chunks=1)
+
+
+def correlate_chunked(
+    a: TimeTagStream,
+    b: TimeTagStream,
+    bin_width: float = DEFAULT_BIN_WIDTH,
+    window: float = DEFAULT_WINDOW,
+    n_chunks: int = 1,
+) -> G2Histogram:
+    """:func:`correlate` with channel A split into ``n_chunks`` chunks, each
+    correlated against the slice of B within reach of it; the raw counts
+    are summed, so the histogram is bin-for-bin the same for any
+    ``n_chunks``. Exists so large streams can be processed in parallel or
+    out of core.
+    """
+    if n_chunks < 1:
+        raise DomainError(f"n_chunks must be at least 1, got {n_chunks}")
     if a.n_tags == 0 or b.n_tags == 0:
         raise DomainError("both channels must contain tags")
     if a.resolution != b.resolution:
@@ -154,71 +182,7 @@ def _histogram_frame(a: TimeTagStream, b: TimeTagStream, bin_width: float, windo
     total_time = max(a.duration, b.duration)
     if total_time <= 0:
         raise DomainError("streams have zero duration")
-    flags = {}
-    if window > total_time:
-        flags["window_exceeds_duration"] = True
-    return res, bin_ticks, snapped, m_bins, total_time, flags
 
-
-def _assemble(a, b, raw, res, bin_ticks, snapped, m_bins, window, total_time, flags):
-    coverage = _bin_coverage(bin_ticks, m_bins)
-    rate_a = a.n_tags / total_time
-    rate_b = b.n_tags / total_time
-    normalizer = rate_a * rate_b * (coverage * res) * total_time
-    tau = (np.arange(-m_bins, m_bins + 1) * bin_ticks) * res
-    return G2Histogram(
-        bin_width=snapped,
-        window=window,
-        tau=tau,
-        g2=raw / normalizer,
-        sigma=np.sqrt(raw) / normalizer,
-        raw=raw,
-        normalizer=normalizer,
-        rate_a=rate_a,
-        rate_b=rate_b,
-        total_time=total_time,
-        resolution=res,
-        flags=flags,
-    )
-
-
-def correlate(
-    a: TimeTagStream,
-    b: TimeTagStream,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    window: float = DEFAULT_WINDOW,
-) -> G2Histogram:
-    """Multi-stop cross-correlation of two channels.
-
-    The normalizer ``rate_a * rate_b * bin_coverage * total_time`` makes an
-    uncorrelated (Poisson) pair average to g2 = 1. A window longer than the
-    acquisition is allowed but flagged ('window_exceeds_duration').
-    """
-    res, bin_ticks, snapped, m_bins, total_time, flags = _histogram_frame(
-        a, b, bin_width, window
-    )
-    raw = _bin_kernel(a.timestamps, b.timestamps, bin_ticks, m_bins)
-    return _assemble(a, b, raw, res, bin_ticks, snapped, m_bins, window, total_time, flags)
-
-
-def correlate_chunked(
-    a: TimeTagStream,
-    b: TimeTagStream,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    window: float = DEFAULT_WINDOW,
-    n_chunks: int = 1,
-) -> G2Histogram:
-    """Split channel A into chunks, correlate each against the window-padded
-    slice of B, and sum the raw counts.
-
-    Bin-for-bin identical to :func:`correlate`; exists so large streams can
-    be processed in parallel or out of core.
-    """
-    if n_chunks < 1:
-        raise DomainError(f"n_chunks must be at least 1, got {n_chunks}")
-    res, bin_ticks, snapped, m_bins, total_time, flags = _histogram_frame(
-        a, b, bin_width, window
-    )
     reach = m_bins * bin_ticks + bin_ticks // 2
     raw = np.zeros(2 * m_bins + 1, dtype=np.int64)
     for a_part in np.array_split(a.timestamps, n_chunks):
@@ -227,7 +191,25 @@ def correlate_chunked(
         lo = np.searchsorted(b.timestamps, a_part[0] - reach, side="left")
         hi = np.searchsorted(b.timestamps, a_part[-1] + reach, side="right")
         raw += _bin_kernel(a_part, b.timestamps[lo:hi], bin_ticks, m_bins)
-    return _assemble(a, b, raw, res, bin_ticks, snapped, m_bins, window, total_time, flags)
+
+    coverage = _bin_coverage(bin_ticks, m_bins)
+    rate_a = a.n_tags / total_time
+    rate_b = b.n_tags / total_time
+    normalizer = rate_a * rate_b * (coverage * res) * total_time
+    return G2Histogram(
+        bin_width=snapped,
+        window=window,
+        tau=(np.arange(-m_bins, m_bins + 1) * bin_ticks) * res,
+        g2=raw / normalizer,
+        sigma=np.sqrt(raw) / normalizer,
+        raw=raw,
+        normalizer=normalizer,
+        rate_a=rate_a,
+        rate_b=rate_b,
+        total_time=total_time,
+        resolution=res,
+        flags={"window_exceeds_duration": True} if window > total_time else {},
+    )
 
 
 def _dip_half_width(tau: np.ndarray, g2: np.ndarray) -> float:

@@ -137,7 +137,7 @@ def sample_defect_count(
     n_arr = np.asarray(n_ions)
     if np.any(n_arr < 0):
         raise DomainError("n_ions must be nonnegative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     m = rng.binomial(n_arr, model.p_success, size=size)
     counts = m // model.atoms_per_center
     if size is None and n_arr.ndim == 0:

@@ -8,7 +8,7 @@ standard site patterns (dose-ladder grid, mask-hole grid, alignment frame).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,11 +88,10 @@ class ImplantSite:
 
 @dataclass
 class ImplantPattern:
-    """A collection of implantation sites with shared straggle statistics."""
+    """A collection of implantation sites of one pattern kind."""
 
     kind: str
     sites: list[ImplantSite]
-    straggle: StraggleParams = field(default_factory=StraggleParams)
     pitch: float = 10e-6
 
     def __post_init__(self):
@@ -137,7 +136,7 @@ def sample_ion_counts(expected_ions, seed) -> np.ndarray:
     expected = np.asarray(expected_ions, dtype=float)
     if np.any(expected < 0):
         raise DomainError("expected_ions must be nonnegative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     # poisson() returns a bare int for scalar input; keep the array contract
     return np.asarray(rng.poisson(expected), dtype=np.int64)
 
@@ -158,7 +157,7 @@ def sample_ion_positions(
     """
     if n_ions < 0:
         raise DomainError(f"n_ions must be nonnegative, got {n_ions}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     sigma_beam = beam_fwhm / FWHM_PER_SIGMA
     beam_xy = rng.normal(0.0, sigma_beam, size=(n_ions, 2)) if sigma_beam > 0 else 0.0
     straggle_xy = (
@@ -190,7 +189,6 @@ def build_pattern(
     pitch: float = 10e-6,
     fluence_per_cm2: float | None = None,
     rows: int | None = None,
-    straggle: StraggleParams | None = None,
     frame_size: float = 200e-6,
     frame_width: float = 2e-6,
 ) -> ImplantPattern:
@@ -209,7 +207,6 @@ def build_pattern(
 
     ``rows`` optionally truncates the grid to its first rows.
     """
-    straggle = straggle or StraggleParams()
     if pitch <= 0:
         raise DomainError(f"pitch must be positive, got {pitch}")
     sites: list[ImplantSite] = []
@@ -252,7 +249,7 @@ def build_pattern(
                 )
     else:
         raise ConfigError(f"unknown pattern kind {kind!r}", key="kind")
-    return ImplantPattern(kind=kind, sites=sites, straggle=straggle, pitch=pitch)
+    return ImplantPattern(kind=kind, sites=sites, pitch=pitch)
 
 
 def write_pattern_csv(pattern: ImplantPattern, path) -> None:

@@ -17,7 +17,6 @@ not an approximation, and it is fast even at collection efficiencies of
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +34,7 @@ class EmitterModel:
 
     ``sat_rate`` is the detected count rate at full saturation (shelving
     ignored), which ties the collection efficiency to the lifetime:
-    eta = sat_rate * lifetime. ``collection_efficiency`` may be passed
-    explicitly but must equal that product; it exists so configurations
-    can state it for clarity.
+    eta = sat_rate * lifetime.
     """
 
     lifetime: float
@@ -45,7 +42,6 @@ class EmitterModel:
     sat_rate: float
     shelving_rate: float = 0.0
     deshelving_rate: float = 0.0
-    collection_efficiency: float | None = None
 
     def __post_init__(self):
         if self.lifetime <= 0:
@@ -58,18 +54,16 @@ class EmitterModel:
             raise DomainError("shelving and deshelving rates must be nonnegative")
         if self.shelving_rate > 0 and self.deshelving_rate == 0:
             raise DomainError("shelving without deshelving would trap the emitter")
-        eta = self.sat_rate * self.lifetime
-        if eta > 1.0:
+        if self.collection_efficiency > 1.0:
             raise DomainError(
-                f"sat_rate * lifetime = {eta:.3g} exceeds 1 photon per lifetime"
+                f"sat_rate * lifetime = {self.collection_efficiency:.3g}"
+                " exceeds 1 photon per lifetime"
             )
-        if self.collection_efficiency is None:
-            self.collection_efficiency = eta
-        elif abs(self.collection_efficiency - eta) > 1e-9 * max(eta, 1e-30):
-            raise DomainError(
-                "collection_efficiency must equal sat_rate * lifetime "
-                f"({eta:.6g}), got {self.collection_efficiency}"
-            )
+
+    @property
+    def collection_efficiency(self) -> float:
+        """Detected photons per emitted photon: sat_rate * lifetime."""
+        return self.sat_rate * self.lifetime
 
 
 @dataclass
@@ -209,7 +203,7 @@ def simulate_background_tags(
         raise DomainError(f"rate must be nonnegative, got {rate}")
     if duration < 0:
         raise DomainError(f"duration must be nonnegative, got {duration}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     times: list[np.ndarray] = []
     t = 0.0
     while rate > 0.0 and t < duration:
@@ -293,7 +287,7 @@ def run_detection(
     """
     if not 0.0 <= split_ratio <= 1.0:
         raise DomainError(f"split_ratio must be in [0, 1], got {split_ratio}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     to_a = rng.random(stream.n_tags) < split_ratio
     ticks_a = _apply_detector(
         stream.timestamps[to_a], det_a, stream.duration, stream.resolution, rng
@@ -345,7 +339,7 @@ def simulate_pulsed_decay(
     centers = 0.5 * (edges[:-1] + edges[1:])
     counts = np.zeros(n_bins, dtype=np.int64)
     if n_pulses > 0:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         n_events = rng.poisson(mean_photons_per_pulse * n_pulses)
         excitation = rng.uniform(0.0, pulse_width, size=n_events)
         taus = np.empty(n_events)

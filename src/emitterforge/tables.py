@@ -36,18 +36,6 @@ def count(text: str) -> int:
     return value
 
 
-def integer(lo: int, hi: int) -> Parser:
-    """Parser of an integer in lo..hi, written as an integer."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if not lo <= value <= hi:
-            raise ValueError(f"{value} is outside {lo}..{hi}")
-        return value
-
-    return parse
-
-
 def positive(text: str) -> float:
     """A finite number above zero."""
     value = float(text)

@@ -1,9 +1,8 @@
-"""Time-tag streams and their on-disk formats.
+"""Time-tag streams and their binary on-disk format.
 
 A stream is a globally time-ordered list of (channel, timestamp) records on a
-fixed tick grid. The binary format is deliberately minimal:
-
-couple of header fields, little-endian::
+fixed tick grid. The binary format is deliberately minimal, a few header
+fields, little-endian::
 
     bytes 0-3   magic "TTG1" (ASCII)
     bytes 4-5   u16 format version (currently 1)
@@ -11,9 +10,6 @@ couple of header fields, little-endian::
     bytes 14-21 u64 record count
     then        records of u8 channel + u64 timestamp in ticks,
                 sorted by timestamp
-
-A CSV rendering (``channel,timestamp_ps``) is provided for spreadsheet use;
-it preserves timestamps exactly but flattens the tick size to 1 ps.
 """
 from __future__ import annotations
 
@@ -23,13 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .tables import integer, read_table, write_table
 
 MAGIC = b"TTG1"
 VERSION = 1
 _HEADER = struct.Struct("<4sHQQ")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
-_CSV_HEADER = "channel,timestamp_ps"
 RECORD_SIZE = _RECORD_DTYPE.itemsize  # 9 bytes, packed
 
 
@@ -233,24 +227,3 @@ def read_timetags(path) -> TimeTagStream:
     resolution = res_ps * 1e-12
     duration = float(timestamps[-1] + 1) * resolution if timestamps.size else 0.0
     return TimeTagStream._trusted(resolution, records["channel"].copy(), timestamps, duration)
-
-
-def write_timetags_csv(stream: TimeTagStream, path) -> None:
-    """CSV rendering with absolute picosecond timestamps."""
-    res_ps = _resolution_ps(stream.resolution)
-    times_ps = [ts * res_ps for ts in stream.timestamps.tolist()]
-    with open(path, "w") as fh:
-        write_table(fh, _CSV_HEADER, (stream.channels, times_ps), "%d,%d")
-
-
-def read_timetags_csv(path) -> TimeTagStream:
-    """Read the CSV rendering back (tick size becomes 1 ps)."""
-    table = read_table(path, {_CSV_HEADER: (integer(0, 255), integer(0, 2**63 - 1))})
-    channels, times_ps = table.columns
-    timestamps = np.asarray(times_ps, dtype=np.int64)
-    down = np.flatnonzero(timestamps[1:] < timestamps[:-1])
-    if down.size:
-        lineno = table.lines[down[0] + 1]
-        raise FormatError(f"timestamps decrease on line {lineno}", offset=lineno)
-    duration = float(timestamps[-1] + 1) * 1e-12 if timestamps.size else 0.0
-    return TimeTagStream(1e-12, np.asarray(channels, dtype=np.uint8), timestamps, duration)

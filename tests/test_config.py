@@ -1,8 +1,10 @@
 import hashlib
+import re
 
 import pytest
 
-from emitterforge.config import load_config
+from emitterforge.cli import main
+from emitterforge.config import _SCHEMA, load_config
 from emitterforge.errors import ConfigError
 
 FULL = """\
@@ -10,10 +12,6 @@ FULL = """\
 kind = fib_grid
 pitch = 10 um
 rows = 3
-beam_fwhm = 50 nm
-mean_depth = 60 nm
-straggle_lateral = 25 nm
-straggle_depth = 20 nm
 
 [creation]
 p_success = 0.16
@@ -28,7 +26,6 @@ deshelving_rate = 1 MHz
 
 [background]
 rate = 300 cps
-decay_time = 70 ns
 
 [detectors]
 efficiency = 0.35
@@ -36,10 +33,6 @@ split_ratio = 0.5
 jitter = 100 ps
 dead_time = 50 ns
 dark_rate = 50 cps
-
-[correlator]
-bin_width = 1 ns
-window = 250 ns
 
 [run]
 seed = 7
@@ -80,9 +73,6 @@ def test_model_builders(tmp_path):
     assert det.efficiency == pytest.approx(0.35)
     assert det.dead_time == pytest.approx(50e-9)
     assert cfg.split_ratio() == pytest.approx(0.5)
-    st = cfg.straggle()
-    assert st.mean_depth == pytest.approx(60e-9)
-    assert st.sigma_lateral == pytest.approx(25e-9)
     args = cfg.pattern_args()
     assert args["kind"] == "fib_grid"
     assert args["rows"] == 3
@@ -132,3 +122,119 @@ def test_config_hash_is_sha256_of_bytes(tmp_path):
 def test_micro_sign_in_config(tmp_path):
     cfg = load_config(_write(tmp_path, "[run]\npower = 45 µW\nseed = 1\n"))
     assert cfg.get("run", "power") == pytest.approx(45e-6)
+
+
+# a tiny fib_grid run (16 sites, 2 ms) with every schema key set
+TINY = {
+    "pattern": {"kind": "fib_grid", "pitch": "10 um", "rows": "1"},
+    "creation": {"p_success": "0.5", "atoms_per_center": "1"},
+    "emitter": {
+        "lifetime": "50 ns",
+        "sat_power": "150 uW",
+        "sat_rate": "2 Mcps",
+        "shelving_rate": "2 MHz",
+        "deshelving_rate": "1 MHz",
+    },
+    "background": {"rate": "5 kcps"},
+    "detectors": {
+        "efficiency": "0.6",
+        "jitter": "80 ps",
+        "dead_time": "300 ns",
+        "dark_rate": "2 kcps",
+        "split_ratio": "0.5",
+    },
+    "run": {"seed": "23", "duration": "2 ms", "power": "300 uW", "resolution": "1 ps"},
+}
+# the frame keys act only on a frame: 16 cells of about 4 ions each; kind
+# is changed from frame to a one-row fib_grid
+FRAME_KEYS = ("kind", "fluence_per_cm2", "frame_size", "frame_width")
+TINY_FRAME = {
+    **TINY,
+    "pattern": {
+        "kind": "frame",
+        "rows": "1",
+        "fluence_per_cm2": "1e8",
+        "frame_size": "10 um",
+        "frame_width": "2 um",
+    },
+}
+# (section, key) -> the other value it is set to
+CHANGED = {
+    ("pattern", "kind"): "fib_grid",
+    ("pattern", "pitch"): "12 um",
+    ("pattern", "fluence_per_cm2"): "2e8",
+    ("pattern", "rows"): "2",
+    ("pattern", "frame_size"): "12 um",
+    ("pattern", "frame_width"): "2.5 um",
+    ("creation", "p_success"): "0.3",
+    ("creation", "atoms_per_center"): "2",
+    ("emitter", "lifetime"): "40 ns",
+    ("emitter", "sat_power"): "100 uW",
+    ("emitter", "sat_rate"): "1 Mcps",
+    ("emitter", "shelving_rate"): "1 MHz",
+    ("emitter", "deshelving_rate"): "2 MHz",
+    ("background", "rate"): "10 kcps",
+    ("detectors", "efficiency"): "0.5",
+    ("detectors", "jitter"): "200 ps",
+    ("detectors", "dead_time"): "100 ns",
+    ("detectors", "dark_rate"): "1 kcps",
+    ("detectors", "split_ratio"): "0.4",
+    ("run", "seed"): "24",
+    ("run", "duration"): "3 ms",
+    ("run", "power"): "200 uW",
+    ("run", "resolution"): "2 ps",
+}
+REMOVED = [
+    ("pattern", "beam_fwhm", "50 nm"),
+    ("pattern", "mean_depth", "60 nm"),
+    ("pattern", "straggle_lateral", "25 nm"),
+    ("pattern", "straggle_depth", "20 nm"),
+    ("background", "decay_time", "70 ns"),
+    ("correlator", "bin_width", "1 ns"),
+    ("correlator", "window", "250 ns"),
+]
+
+
+def _ini(sections) -> str:
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        for name, keys in sections.items()
+    )
+
+
+def _outputs(tmp_path, sections, tag):
+    """Exit codes and output bytes of ``pattern`` and ``simulate``, with the
+    config hash (which any byte of the file changes) left out."""
+    ini = _write(tmp_path, _ini(sections), name=f"{tag}.ini")
+    csv, out = tmp_path / f"{tag}.csv", tmp_path / tag
+    codes = (main(["pattern", str(ini), str(csv)]), main(["simulate", str(ini), str(out)]))
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    files["pattern"] = csv.read_bytes()
+    files["manifest.csv"] = re.sub(rb"config_hash=\w+", b"", files["manifest.csv"])
+    return codes, files
+
+
+def test_every_schema_key_changes_an_output(tmp_path):
+    assert set(CHANGED) == {(s, k) for s, keys in _SCHEMA.items() for k in keys}
+    bases = {"fib": TINY, "frame": TINY_FRAME}
+    base_outputs = {name: _outputs(tmp_path, base, name) for name, base in bases.items()}
+    for codes, _ in base_outputs.values():
+        assert codes == (0, 0)
+    inert = []
+    for (section, key), value in CHANGED.items():
+        name = "frame" if key in FRAME_KEYS else "fib"
+        changed = {**bases[name], section: {**bases[name][section], key: value}}
+        codes, files = _outputs(tmp_path, changed, f"{section}_{key}")
+        assert codes == (0, 0), (section, key)
+        if files == base_outputs[name][1]:
+            inert.append(f"[{section}] {key}")
+    assert inert == []
+
+
+@pytest.mark.parametrize("section,key,value", REMOVED, ids=[k for _, k, _ in REMOVED])
+def test_removed_keys_are_rejected(tmp_path, section, key, value):
+    sections = {**TINY, section: {**TINY.get(section, {}), key: value}}
+    ini = _write(tmp_path, _ini(sections))
+    with pytest.raises(ConfigError, match=key):
+        load_config(ini)
+    assert main(["simulate", str(ini), str(tmp_path / "out")]) == 2

@@ -27,7 +27,6 @@ from emitterforge.timetags import (
     TimeTagStream,
     merge_streams,
     read_timetags,
-    read_timetags_csv,
     write_timetags,
 )
 
@@ -244,14 +243,6 @@ def test_read_timetags_rejects_timestamps_past_int64(tmp_path, values):
     with pytest.raises(FormatError) as err:
         read_timetags(p)
     assert err.value.offset == HEADER_SIZE + values.index(max(values)) * RECORD_SIZE
-
-
-@pytest.mark.parametrize("rows", [["5", "3"], ["-4"]])
-def test_read_timetags_csv_rejects_unsorted_or_negative(tmp_path, rows):
-    p = tmp_path / "tags.csv"
-    p.write_text("channel,timestamp_ps\n" + "".join(f"0,{r}\n" for r in rows))
-    with pytest.raises(FormatError):
-        read_timetags_csv(p)
 
 
 # -- correlator -----------------------------------------------------------

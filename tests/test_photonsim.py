@@ -56,8 +56,6 @@ def test_emitter_model_validation():
     with pytest.raises(DomainError):
         EmitterModel(lifetime=50e-9, sat_power=1e-4, sat_rate=1e6,
                      shelving_rate=1e6, deshelving_rate=0.0)
-    with pytest.raises(DomainError):
-        EmitterModel(**TWO_LEVEL, collection_efficiency=0.5)
     m = EmitterModel(**TWO_LEVEL)
     assert m.collection_efficiency == pytest.approx(0.1)
 

@@ -30,7 +30,6 @@ from emitterforge.correlator import G2Histogram, read_histogram_csv, write_histo
 from emitterforge.errors import ConfigError, DomainError, FormatError
 from emitterforge.implantation import build_pattern, read_pattern_csv, write_pattern_csv
 from emitterforge.photonsim import DecayHistogram, read_decay_csv, write_decay_csv
-from emitterforge.timetags import TimeTagStream, read_timetags_csv, write_timetags_csv
 
 # ------------------------------------------------------------ writer bytes
 
@@ -60,12 +59,6 @@ def _write_decay(path):
     t = (np.arange(40) + 0.5) * 2.5e-9
     counts = (1000 * np.exp(-t / 33e-9)).astype(np.int64) + 3
     write_decay_csv(DecayHistogram(t, counts, 2.5e-9, 123_457), path)
-
-
-def _write_timetags(path):
-    ticks = np.array([0, 3, 3, 17, 250, 251, 10**12, 2**40 + 1], dtype=np.int64)
-    channels = np.array([0, 1, 0, 1, 1, 0, 255, 2], dtype=np.uint8)
-    write_timetags_csv(TimeTagStream(4e-12, channels, ticks, 1.0), path)
 
 
 def _write_histogram(path):
@@ -121,10 +114,6 @@ WRITER_SHA256 = {
     "decay": (
         _write_decay,
         "ffad7638bb57318a1df05bf0300732a956e94263c294c787b588ec20b0e57904",
-    ),
-    "timetags": (
-        _write_timetags,
-        "d1af6364c4b3c18f4b146406a4f17d22c04a3a154c75292efe8a3bb5d3ae4f0f",
     ),
     "histogram": (
         _write_histogram,
@@ -203,23 +192,10 @@ def test_header_is_required(tmp_path, read, text):
 
 
 def test_comments_and_blank_lines_anywhere(tmp_path):
-    p = tmp_path / "tags.csv"
-    p.write_text("# exported\n\nchannel,timestamp_ps\n# a note\n0,5\n\n1,7\n# end\n")
-    stream = read_timetags_csv(p)
-    assert stream.timestamps.tolist() == [5, 7]
-    assert stream.channels.tolist() == [0, 1]
     p = tmp_path / "spots.csv"
     p.write_text("# census\nlabel,rate_cps,background_cps,n_g2,n_estimated\n# x\nA1,5,1,,2\n")
     spots, estimates = read_spot_table(p)
     assert [s.label for s in spots] == ["A1"] and estimates == [2]
-
-
-def test_timetags_csv_order_error_names_the_physical_line(tmp_path):
-    p = tmp_path / "tags.csv"
-    p.write_text("channel,timestamp_ps\n\n\n0,5\n0,3\n")
-    with pytest.raises(FormatError, match="line 5") as err:
-        read_timetags_csv(p)
-    assert err.value.offset == 5
 
 
 # --------------------------------------------- malformed input ends in exit 4
@@ -274,7 +250,6 @@ READERS = {
     "spectrum": (read_spectrum_csv, "# zpl_nm=1278\n" + SPECTRUM_ROWS),
     "saturation": (read_saturation_csv, "power_uw,rate_cps,sigma_cps\n1,10,1\n2,20,1\n"),
     "decay": (read_decay_csv, DECAY_META + DECAY_ROWS),
-    "timetags": (read_timetags_csv, "channel,timestamp_ps\n0,1\n1,5\n"),
     "histogram": (read_histogram_csv, _hist() + HIST_ROWS),
     "spot_table": (
         read_spot_table,
@@ -291,7 +266,6 @@ HEADERS = [
     "power_uw,rate_cps",
     "power_uw,rate_cps,sigma_cps",
     "time_ns,counts",
-    "channel,timestamp_ps",
     "tau_ns,g2,sigma,raw",
     "label,rate_cps,background_cps,n_g2,n_estimated",
     "label,n_ions,n_centers,rate_a_cps,rate_b_cps",

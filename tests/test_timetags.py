@@ -11,9 +11,7 @@ from emitterforge.timetags import (
     TimeTagStream,
     merge_streams,
     read_timetags,
-    read_timetags_csv,
     write_timetags,
-    write_timetags_csv,
 )
 
 HEADER_SIZE = struct.calcsize("<4sHQQ")
@@ -128,25 +126,6 @@ def test_header_count_must_match_payload(tmp_path):
     p.write_bytes(header + b"\x00" * RECORD_SIZE)
     with pytest.raises(FormatError):
         read_timetags(p)
-
-
-def test_csv_round_trip(tmp_path):
-    s = _stream([100, 250, 400], channels=[0, 1, 0], resolution=1e-12, duration=1.0)
-    p = tmp_path / "tags.csv"
-    write_timetags_csv(s, p)
-    r = read_timetags_csv(p)
-    assert np.array_equal(r.timestamps, s.timestamps)
-    assert np.array_equal(r.channels, s.channels)
-    assert r.resolution == s.resolution
-
-
-@pytest.mark.parametrize("row", ["300,5", "-1,5", "0,-5", f"0,{2**63}"])
-def test_csv_out_of_range_field_is_format_error(tmp_path, row):
-    p = tmp_path / "tags.csv"
-    p.write_text(f"channel,timestamp_ps\n0,1\n{row}\n")
-    with pytest.raises(FormatError, match="line 3") as err:
-        read_timetags_csv(p)
-    assert err.value.offset == 3
 
 
 def test_read_timetags_reads_records_in_place(tmp_path):
