@@ -20,6 +20,7 @@ from .units import FWHM_PER_SIGMA
 
 G_CENTER_ZPL = 1278e-9  # zero-phonon line of the carbon G center
 W_CENTER_ZPL = 1218e-9  # zero-phonon line of the W center
+_MIN_POST_PEAK = 20  # post-peak bins fit_decay needs
 _SPOT_HEADER = "label,rate_cps,background_cps,n_g2,n_estimated"
 
 
@@ -242,14 +243,14 @@ def _no_fit(reason: str) -> DecayFitResult:
     )
 
 
-def fit_decay(histogram, min_post_peak: int = 20) -> DecayFitResult:
+def fit_decay(histogram) -> DecayFitResult:
     """Fit the post-peak part of a pulsed-decay histogram.
 
     Works on any object with ``bin_centers`` and ``counts`` arrays. The fit
     starts one bin after the maximum. Time constants closer than a factor
     1.5, or a component amplitude consistent with zero, trigger a
     single-exponential refit (flagged); a histogram without a significant
-    peak or with fewer than ``min_post_peak`` post-peak bins is flagged
+    peak or with fewer than ``_MIN_POST_PEAK`` (20) post-peak bins is flagged
     'no_fit' instead of raising.
     """
     t = np.asarray(histogram.bin_centers, dtype=float)
@@ -263,7 +264,7 @@ def fit_decay(histogram, min_post_peak: int = 20) -> DecayFitResult:
     if c[peak] - level < 5.0 * noise:
         return _no_fit("no significant peak")
     start = peak + 1
-    if t.size - start < min_post_peak:
+    if t.size - start < _MIN_POST_PEAK:
         return _no_fit("too few post-peak bins")
 
     ts = t[start:] - t[start]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import defectstats
+from . import correlator, defectstats
 from .analysis import (
     debye_waller,
     fit_decay,
@@ -31,6 +31,7 @@ from .correlator import background_correct, correlate, fit_g2, write_histogram_c
 from .errors import ConfigError, DomainError, FormatError
 from .implantation import build_pattern, sample_ion_counts, write_pattern_csv
 from .photonsim import (
+    DEFAULT_RESOLUTION,
     read_decay_csv,
     run_detection,
     simulate_background_tags,
@@ -88,7 +89,7 @@ def _cmd_simulate(args) -> int:
     split = cfg.split_ratio()
     duration = cfg.require("run", "duration")
     power = cfg.require("run", "power")
-    resolution = cfg.get("run", "resolution", 1e-12)
+    resolution = cfg.get("run", "resolution", DEFAULT_RESOLUTION)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -301,8 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("g2", help="correlate a two-channel tag file and fit the dip")
     p.add_argument("tagfile")
-    p.add_argument("--bin", type=_quantity("time"), default=1e-9, help="bin width (e.g. '1 ns')")
-    p.add_argument("--window", type=_quantity("time"), default=250e-9, help="max |tau| (e.g. '250 ns')")
+    p.add_argument("--bin", type=_quantity("time"), default=correlator.DEFAULT_BIN_WIDTH, help="bin width (e.g. '1 ns')")
+    p.add_argument("--window", type=_quantity("time"), default=correlator.DEFAULT_WINDOW, help="max |tau| (e.g. '250 ns')")
     p.add_argument("--rho", type=float, default=None, help="signal fraction for background correction")
     p.add_argument("--out", default=None, help="histogram CSV path")
     p.set_defaults(func=_cmd_g2)

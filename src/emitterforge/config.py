@@ -86,45 +86,31 @@ class RunConfig:
         return self.values[section][key]
 
     # -- model builders ------------------------------------------------
+    # Each passes on only the keys the file sets, so every other value is
+    # the default that the model or build_pattern declares.
+    def _section(self, section: str, *required: str) -> dict:
+        for key in required:
+            self.require(section, key)
+        return dict(self.values.get(section, {}))
+
     def pattern_args(self) -> dict:
-        kind = self.require("pattern", "kind")
-        args = {
-            "kind": kind,
-            "pitch": self.get("pattern", "pitch", 10e-6),
-            "fluence_per_cm2": self.get("pattern", "fluence_per_cm2"),
-            "rows": self.get("pattern", "rows"),
-        }
-        if self.has("pattern", "frame_size"):
-            args["frame_size"] = self.get("pattern", "frame_size")
-        if self.has("pattern", "frame_width"):
-            args["frame_width"] = self.get("pattern", "frame_width")
-        return args
+        return self._section("pattern", "kind")
 
     def creation_model(self) -> CreationModel:
-        return CreationModel(
-            p_success=self.require("creation", "p_success"),
-            atoms_per_center=self.get("creation", "atoms_per_center", 1),
-        )
+        return CreationModel(**self._section("creation", "p_success"))
 
     def emitter_model(self) -> EmitterModel:
-        return EmitterModel(
-            lifetime=self.require("emitter", "lifetime"),
-            sat_power=self.require("emitter", "sat_power"),
-            sat_rate=self.require("emitter", "sat_rate"),
-            shelving_rate=self.get("emitter", "shelving_rate", 0.0),
-            deshelving_rate=self.get("emitter", "deshelving_rate", 0.0),
-        )
+        return EmitterModel(**self._section("emitter", "lifetime", "sat_power", "sat_rate"))
 
     def background_model(self) -> BackgroundModel:
-        return BackgroundModel(rate=self.get("background", "rate", 0.0))
+        return BackgroundModel(**{"rate": 0.0, **self._section("background")})
 
     def detector_model(self) -> DetectorModel:
-        return DetectorModel(
-            efficiency=self.get("detectors", "efficiency", 1.0),
-            jitter_sigma=self.get("detectors", "jitter", 0.0),
-            dead_time=self.get("detectors", "dead_time", 0.0),
-            dark_rate=self.get("detectors", "dark_rate", 0.0),
-        )
+        keys = self._section("detectors")
+        keys.pop("split_ratio", None)
+        if "jitter" in keys:
+            keys["jitter_sigma"] = keys.pop("jitter")
+        return DetectorModel(**keys)
 
     def split_ratio(self) -> float:
         return self.get("detectors", "split_ratio", 0.5)

@@ -32,6 +32,8 @@ from .timetags import TimeTagStream
 
 DEFAULT_BIN_WIDTH = 1e-9
 DEFAULT_WINDOW = 250e-9
+RHO_FLOOR = 0.1  # background_correct warns below this signal fraction
+_N_SUB = 8  # quadrature nodes per bin of the bin-averaged dip model
 _A_CHUNK = 200_000  # bound the pair-array memory
 _HISTOGRAM_HEADER = "tau_ns,g2,sigma,raw"
 _HISTOGRAM_META = {
@@ -237,15 +239,16 @@ def _bin_span(hist: G2Histogram):
     return lo, hi
 
 
-def _bin_subsamples(hist: G2Histogram, n_sub: int = 8):
-    """|tau| quadrature nodes spanning each bin's actual tick coverage.
+def _bin_subsamples(hist: G2Histogram):
+    """|tau| quadrature nodes (``_N_SUB`` = 8) spanning each bin's actual
+    tick coverage.
 
     The data in a bin is the pair count averaged over the delays the bin
     covers, so the model must be averaged the same way or a steep dip
     biases the fit at coarse bin widths.
     """
     lo, hi = _bin_span(hist)
-    frac = (np.arange(n_sub) + 0.5) / n_sub
+    frac = (np.arange(_N_SUB) + 0.5) / _N_SUB
     return (lo[:, None] + (hi - lo)[:, None] * frac[None, :]) * hist.resolution
 
 
@@ -253,7 +256,7 @@ class _BinnedDip:
     """Weighted residual and Jacobian of the dip model averaged over the
     :func:`_bin_subsamples` nodes of each bin, in closed form.
 
-    The nodes of a bin are equally spaced, t0 + j h for j < n_sub, so the
+    The nodes of a bin are equally spaced, t0 + j h for j < _N_SUB, so the
     bin mean of e^(-t/tau) is e^(-t0/tau) * mean_j q^j with q = e^(-h/tau).
     The geometric factor depends on h alone, which takes one value in the
     central bin and one in all others, so an evaluation costs one
@@ -263,13 +266,13 @@ class _BinnedDip:
     the exponentials of the residual at that point.
     """
 
-    def __init__(self, hist: G2Histogram, sigma: np.ndarray, scale: float, n_sub: int = 8):
+    def __init__(self, hist: G2Histogram, sigma: np.ndarray, scale: float):
         lo, hi = _bin_span(hist)
         spans, self._which = np.unique(hi - lo, return_inverse=True)
-        self._h = spans * hist.resolution / n_sub
-        self._t0 = (lo + (hi - lo) * (0.5 / n_sub)) * hist.resolution
+        self._h = spans * hist.resolution / _N_SUB
+        self._t0 = (lo + (hi - lo) * (0.5 / _N_SUB)) * hist.resolution
         self._h_bin = self._h[self._which]
-        self._j = np.arange(n_sub, dtype=float)
+        self._j = np.arange(_N_SUB, dtype=float)
         self._y = hist.g2
         self._sigma = sigma
         self._scale = scale
@@ -317,7 +320,7 @@ class _BinnedDip:
         return np.stack(cols, axis=1) / self._sigma[:, None]
 
 
-def fit_g2(hist: G2Histogram, x0: np.ndarray | None = None) -> G2Fit:
+def fit_g2(hist: G2Histogram) -> G2Fit:
     """Weighted fit of the dip model to a correlation histogram.
 
     The model is averaged over each bin's delay coverage (not sampled at
@@ -344,21 +347,18 @@ def fit_g2(hist: G2Histogram, x0: np.ndarray | None = None) -> G2Fit:
     depth = g_tail - g_center
     no_dip = depth < 3.0 * math.sqrt(var_center + var_tail)
 
-    if x0 is None:
-        # depth -> N through g2(0) = (N-1)/N; a shallow or absent dip
-        # seeds a modest N and lets the optimizer drift up if needed
-        n0 = 1.0 / max(depth, 1e-2)
-        n0 = min(max(n0, 1.0), 100.0)
-        a0 = max(g_max - 1.0, 0.0)
-        tau1_0 = _dip_half_width(tau, y)
-        x0 = np.array([n0, a0, tau1_0, 10.0 * tau1_0])
-    scale = max(float(x0[2]), 1e-12)
+    # depth -> N through g2(0) = (N-1)/N; a shallow or absent dip seeds a
+    # modest N and lets the optimizer drift up if needed
+    n0 = min(max(1.0 / max(depth, 1e-2), 1.0), 100.0)
+    a0 = max(g_max - 1.0, 0.0)
+    tau1_0 = _dip_half_width(tau, y)
+    scale = max(float(tau1_0), 1e-12)
     dip = _BinnedDip(hist, sigma, scale)
 
     problem = fitkit.FitProblem(
         residual=dip.residual,
         jacobian=dip.jacobian,
-        x0=np.array([x0[0], x0[1], x0[2] / scale, x0[3] / scale]),
+        x0=np.array([n0, a0, tau1_0 / scale, 10.0 * tau1_0 / scale]),
         lower=np.array([1.0, 0.0, 1e-6, 1e-6]),
         upper=np.array([1e9, 1e6, 1e9, 1e9]),
     )
@@ -406,21 +406,19 @@ def rho_from_rates(spot_rate: float, background_rate: float) -> float:
     return (spot_rate - background_rate) / spot_rate
 
 
-def background_correct(
-    g2, rho: float, sigma=None, rho_floor: float = 0.1
-):
+def background_correct(g2, rho: float, sigma=None):
     """Remove uncorrelated background: g_corr = (g - (1 - rho^2)) / rho^2.
 
     Accepts a scalar, an array, or a :class:`G2Histogram` (returns the same
     kind). Sigmas scale by 1/rho^2. Values below zero after correction are
     possible with noisy data and set the 'below_zero' flag on a histogram;
-    rho below ``rho_floor`` triggers a reliability warning.
+    rho below ``RHO_FLOOR`` (0.1) triggers a reliability warning.
     """
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"rho must be in (0, 1], got {rho}")
-    if rho < rho_floor:
+    if rho < RHO_FLOOR:
         warnings.warn(
-            f"rho = {rho:.3g} below {rho_floor:g}; corrected g2 is unreliable",
+            f"rho = {rho:.3g} below {RHO_FLOOR:g}; corrected g2 is unreliable",
             CorrectionWarning,
         )
     rho2 = rho * rho

@@ -18,6 +18,7 @@ from scipy import stats
 from .errors import DomainError
 
 _LOG_SPACE_THRESHOLD = 20  # direct factorial evaluation is fine below this
+_PMF_TAIL = 1e-12  # largest tail mass composite_moments may truncate
 
 
 @dataclass
@@ -106,15 +107,15 @@ def composite_pmf_array(mu: float, k: int, n_max: int) -> np.ndarray:
     return np.array([composite_defect_pmf(mu, k, n) for n in range(n_max + 1)])
 
 
-def composite_moments(mu: float, k: int, tail: float = 1e-12) -> tuple[float, float]:
+def composite_moments(mu: float, k: int) -> tuple[float, float]:
     """Mean and variance of the center-number distribution.
 
     The support is truncated once the remaining tail mass drops below
-    ``tail``; for any practical mu this converges in a few dozen terms.
+    ``_PMF_TAIL`` (1e-12); for any practical mu this takes a few dozen terms.
     """
     n_max = int(math.ceil((mu + 12.0 * math.sqrt(mu + 1.0)) / k)) + 5
     pmf = composite_pmf_array(mu, k, n_max)
-    if 1.0 - pmf.sum() > tail:
+    if 1.0 - pmf.sum() > _PMF_TAIL:
         raise DomainError("pmf support truncated too early")
     n = np.arange(n_max + 1)
     mean = float(np.sum(n * pmf))

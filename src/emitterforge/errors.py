@@ -25,10 +25,6 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-class FitkitWarning(UserWarning):
-    """Non-fatal numerical issue during a fit (singular covariance etc.)."""
-
-
 class CorrectionWarning(UserWarning):
     """Background correction applied in a regime where it is unreliable."""
 

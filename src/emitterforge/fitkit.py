@@ -5,7 +5,8 @@ Levenberg-Marquardt loop with box-bound projection. A problem may supply an
 analytic Jacobian; otherwise one is built by finite differences. Residual
 functions are expected to return *weighted* residuals (already divided by
 the per-point sigma), so the covariance and reduced chi-square come out in
-natural units.
+natural units. Every fit stops on the constants ``MAX_ITERATIONS`` (200),
+``COST_TOL`` (1e-10) and ``GRADIENT_TOL`` (1e-10).
 """
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ import numpy as np
 
 from .errors import DomainError
 
+MAX_ITERATIONS = 200
+COST_TOL = 1e-10
 GRADIENT_TOL = 1e-10
 DAMPING_INIT = 1e-3
 DAMPING_UP = 10.0
@@ -25,7 +28,8 @@ _MAX_INNER_RETRIES = 25
 
 @dataclass
 class FitProblem:
-    """A weighted least-squares problem.
+    """A weighted least-squares problem; its iteration cap and convergence
+    thresholds are the constants ``MAX_ITERATIONS`` and ``COST_TOL``.
 
     Parameters
     ----------
@@ -35,10 +39,6 @@ class FitProblem:
         Initial parameter values.
     lower, upper : array_like or None
         Box bounds; steps are projected back onto the box.
-    max_iterations : int
-        Cap on accepted Levenberg-Marquardt steps.
-    tolerance : float
-        Relative cost-decrease threshold for convergence.
     jacobian : callable or None
         Maps a parameter vector to the m x n Jacobian of the *weighted*
         residual. When None, central finite differences are used.
@@ -48,8 +48,6 @@ class FitProblem:
     x0: np.ndarray
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    max_iterations: int = 200
-    tolerance: float = 1e-10
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
@@ -165,8 +163,9 @@ def least_squares(problem: FitProblem) -> FitOutcome:
     The Jacobian comes from ``problem.jacobian`` when it is set and from
     central finite differences otherwise. Damping starts at 1e-3 and moves
     by factors of 10 (up on a rejected step, down on an accepted one).
-    Convergence: relative cost decrease below ``problem.tolerance`` or
-    infinity-norm of the gradient below 1e-10. Singular normal equations
+    Convergence: relative cost decrease below ``COST_TOL`` (1e-10) or
+    infinity-norm of the gradient below ``GRADIENT_TOL`` (1e-10), within
+    ``MAX_ITERATIONS`` (200) accepted steps. Singular normal equations
     get damped retries and, if they persist, a non-converged outcome
     carrying the best point seen.
     """
@@ -204,7 +203,7 @@ def least_squares(problem: FitProblem) -> FitOutcome:
     message = "max iterations reached"
     jac, flagged = _problem_jacobian(problem, x, r, lower, upper)
 
-    while iterations < problem.max_iterations:
+    while iterations < MAX_ITERATIONS:
         grad = jac.T @ r
         # parameters pinned at a bound with the gradient pushing outward
         # are frozen for this step; convergence is judged on the rest
@@ -267,7 +266,7 @@ def least_squares(problem: FitProblem) -> FitOutcome:
             lam = min(lam, 1e-12)
         iterations += 1
         jac, flagged = _problem_jacobian(problem, x, r, lower, upper)
-        if rel_decrease < problem.tolerance:
+        if rel_decrease < COST_TOL:
             converged = True
             message = "relative cost decrease below tolerance"
             break

@@ -29,7 +29,16 @@ MASK_HOLE_DIAMETERS_NM = (
     80, 85, 90, 95, 100, 125, 150, 200, 300, 400, 2000,
 )
 
-PATTERN_KINDS = ("fib_grid", "mask_holes", "frame")
+#: Site pitch in m of a pattern that names none.
+DEFAULT_PITCH = 10e-6
+
+#: Pattern kind -> the optional :func:`build_pattern` keys it reads; every
+#: kind reads ``pitch``, which the pattern CSV records.
+PATTERN_KINDS = {
+    "fib_grid": ("rows",),
+    "mask_holes": ("rows", "fluence_per_cm2"),
+    "frame": ("fluence_per_cm2", "frame_size", "frame_width"),
+}
 
 
 @dataclass
@@ -92,7 +101,7 @@ class ImplantPattern:
 
     kind: str
     sites: list[ImplantSite]
-    pitch: float = 10e-6
+    pitch: float = DEFAULT_PITCH
 
     def __post_init__(self):
         labels = [s.label for s in self.sites]
@@ -184,13 +193,22 @@ def _column_label(index: int) -> str:
     return letters
 
 
+def _first_rows(ladder: tuple, rows: int | None) -> tuple:
+    """The first ``rows`` entries of a grid's row ladder (all when None)."""
+    if rows is None:
+        return ladder
+    if not 1 <= rows <= len(ladder):
+        raise DomainError(f"rows must be in 1..{len(ladder)}, got {rows}")
+    return ladder[:rows]
+
+
 def build_pattern(
     kind: str,
-    pitch: float = 10e-6,
+    pitch: float = DEFAULT_PITCH,
     fluence_per_cm2: float | None = None,
     rows: int | None = None,
-    frame_size: float = 200e-6,
-    frame_width: float = 2e-6,
+    frame_size: float | None = None,
+    frame_width: float | None = None,
 ) -> ImplantPattern:
     """Construct one of the standard site patterns.
 
@@ -202,19 +220,25 @@ def build_pattern(
     (first 20 entries of MASK_HOLE_DIAMETERS_NM); expected ions follow
     from the fluence and the hole area. ``fluence_per_cm2`` is required.
 
-    kind 'frame': square outline of side ``frame_size`` made of
-    ``frame_width`` cells, each receiving fluence * cell area ions.
+    kind 'frame': square outline of side ``frame_size`` (200 um) made of
+    ``frame_width`` (2 um) cells, each receiving fluence * cell area ions.
 
-    ``rows`` optionally truncates the grid to its first rows.
+    ``rows`` truncates a grid to its first 1..15 (fib_grid) or 1..20
+    (mask_holes) rows. A key that the kind does not read (PATTERN_KINDS)
+    raises ConfigError.
     """
+    if kind not in PATTERN_KINDS:
+        raise ConfigError(f"unknown pattern kind {kind!r}", key="kind")
+    given = {"fluence_per_cm2": fluence_per_cm2, "rows": rows,
+             "frame_size": frame_size, "frame_width": frame_width}
+    for key, value in given.items():
+        if value is not None and key not in PATTERN_KINDS[kind]:
+            raise ConfigError(f"pattern kind {kind!r} does not read {key!r}", key=key)
     if pitch <= 0:
         raise DomainError(f"pitch must be positive, got {pitch}")
     sites: list[ImplantSite] = []
     if kind == "fib_grid":
-        doses = FIB_ROW_DOSES[: rows if rows is not None else len(FIB_ROW_DOSES)]
-        if not doses:
-            raise DomainError("rows must be at least 1")
-        for r, dose in enumerate(doses):
+        for r, dose in enumerate(_first_rows(FIB_ROW_DOSES, rows)):
             for c in range(16):
                 sites.append(
                     ImplantSite(f"{_column_label(c)}{r + 1}", c * pitch, r * pitch, float(dose))
@@ -222,19 +246,21 @@ def build_pattern(
     elif kind == "mask_holes":
         if fluence_per_cm2 is None:
             raise ConfigError("mask_holes pattern requires fluence_per_cm2", key="fluence_per_cm2")
-        diameters = MASK_HOLE_DIAMETERS_NM[:20]
-        diameters = diameters[: rows if rows is not None else len(diameters)]
-        if not diameters:
-            raise DomainError("rows must be at least 1")
-        for r, d_nm in enumerate(diameters):
+        for r, d_nm in enumerate(_first_rows(MASK_HOLE_DIAMETERS_NM[:20], rows)):
             expected = expected_ions_through_hole(fluence_per_cm2, d_nm * 1e-9)
             for c in range(20):
                 sites.append(
                     ImplantSite(f"{_column_label(c)}{r + 1}", c * pitch, r * pitch, expected)
                 )
-    elif kind == "frame":
+    else:
         if fluence_per_cm2 is None:
             raise ConfigError("frame pattern requires fluence_per_cm2", key="fluence_per_cm2")
+        frame_size = 200e-6 if frame_size is None else frame_size
+        frame_width = 2e-6 if frame_width is None else frame_width
+        if not all(math.isfinite(v) and v > 0 for v in (frame_size, frame_width)):
+            raise DomainError(
+                f"frame_size and frame_width must be positive, got {frame_size}, {frame_width}"
+            )
         per_side = max(int(round(frame_size / frame_width)), 2)
         cell_ions = fluence_per_cm2 * (frame_width**2) * 1e4
         idx = 0
@@ -247,8 +273,6 @@ def build_pattern(
                 sites.append(
                     ImplantSite(f"F{idx:04d}", j * frame_width, i * frame_width, cell_ions)
                 )
-    else:
-        raise ConfigError(f"unknown pattern kind {kind!r}", key="kind")
     return ImplantPattern(kind=kind, sites=sites, pitch=pitch)
 
 
@@ -268,5 +292,5 @@ def read_pattern_csv(path) -> ImplantPattern:
         ImplantSite(label, x * 1e-6, y * 1e-6, ions)
         for label, x, y, ions in zip(*table.columns)
     ]
-    pitch = table.meta["pitch_um"] * 1e-6 if "pitch_um" in table.meta else 10e-6
+    pitch = table.meta["pitch_um"] * 1e-6 if "pitch_um" in table.meta else DEFAULT_PITCH
     return ImplantPattern(kind=table.meta.get("kind", "custom"), sites=sites, pitch=pitch)

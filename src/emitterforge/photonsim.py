@@ -26,6 +26,8 @@ from .tables import count, read_table, write_table
 from .timetags import TimeTagStream
 
 DEFAULT_RESOLUTION = 1e-12  # 1 ps ticks
+_PHOTONS_PER_PULSE = 1.0  # mean recorded photons per pulse in simulate_pulsed_decay
+_DECAY_BIN_WIDTH = 1e-9  # histogram bin of simulate_pulsed_decay
 
 
 @dataclass
@@ -312,8 +314,6 @@ def simulate_pulsed_decay(
     pulse_width: float,
     n_pulses: int,
     seed,
-    mean_photons_per_pulse: float = 1.0,
-    bin_width: float = 1e-9,
 ) -> DecayHistogram:
     """Time-correlated photon histogram under rectangular pulsed excitation.
 
@@ -321,7 +321,9 @@ def simulate_pulsed_decay(
     decays exponentially: with probability ``bg_fraction`` at the background
     decay time, otherwise at the lifetime of one of the emitters (chosen
     uniformly). Delays are measured from the pulse leading edge; the rare
-    delay beyond one period is dropped rather than folded.
+    delay beyond one period is dropped rather than folded. Pulses record
+    ``_PHOTONS_PER_PULSE`` (1) photon on average, binned at
+    ``_DECAY_BIN_WIDTH`` (1 ns).
     """
     if isinstance(models, EmitterModel):
         models = [models]
@@ -334,13 +336,13 @@ def simulate_pulsed_decay(
     if bg_fraction < 1.0 and not models:
         raise DomainError("need at least one emitter when bg_fraction < 1")
 
-    n_bins = int(round(pulse_period / bin_width))
-    edges = np.arange(n_bins + 1) * bin_width
+    n_bins = int(round(pulse_period / _DECAY_BIN_WIDTH))
+    edges = np.arange(n_bins + 1) * _DECAY_BIN_WIDTH
     centers = 0.5 * (edges[:-1] + edges[1:])
     counts = np.zeros(n_bins, dtype=np.int64)
     if n_pulses > 0:
         rng = np.random.default_rng(seed)
-        n_events = rng.poisson(mean_photons_per_pulse * n_pulses)
+        n_events = rng.poisson(_PHOTONS_PER_PULSE * n_pulses)
         excitation = rng.uniform(0.0, pulse_width, size=n_events)
         taus = np.empty(n_events)
         slow = rng.random(n_events) < bg_fraction
@@ -351,7 +353,7 @@ def simulate_pulsed_decay(
             taus[~slow] = lifetimes[which[~slow]]
         delays = excitation + rng.exponential(1.0, size=n_events) * taus
         counts += np.histogram(delays, bins=edges)[0]
-    return DecayHistogram(centers, counts, bin_width, n_pulses)
+    return DecayHistogram(centers, counts, _DECAY_BIN_WIDTH, n_pulses)
 
 
 def write_decay_csv(hist: DecayHistogram, path) -> None:

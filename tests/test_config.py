@@ -5,7 +5,10 @@ import pytest
 
 from emitterforge.cli import main
 from emitterforge.config import _SCHEMA, load_config
-from emitterforge.errors import ConfigError
+from emitterforge.defectstats import CreationModel
+from emitterforge.errors import ConfigError, DomainError
+from emitterforge.implantation import build_pattern
+from emitterforge.photonsim import BackgroundModel, DetectorModel, EmitterModel
 
 FULL = """\
 [pattern]
@@ -78,14 +81,35 @@ def test_model_builders(tmp_path):
     assert args["rows"] == 3
 
 
+REQUIRED_ONLY = """\
+[pattern]
+kind = fib_grid
+[creation]
+p_success = 0.16
+[emitter]
+lifetime = 50 ns
+sat_power = 150 uW
+sat_rate = 2 Mcps
+"""
+
+
 def test_defaults_when_sections_missing(tmp_path):
-    cfg = load_config(_write(tmp_path, "[pattern]\nkind = fib_grid\n"))
-    assert cfg.split_ratio() == 0.5
-    bg = cfg.background_model()
-    assert bg.rate == 0.0
-    det = cfg.detector_model()
-    assert det.efficiency == 1.0
-    assert det.dark_rate == 0.0
+    for text in ("[pattern]\nkind = fib_grid\n", REQUIRED_ONLY):
+        cfg = load_config(_write(tmp_path, text))
+        assert cfg.split_ratio() == 0.5
+        bg = cfg.background_model()
+        assert bg.rate == 0.0
+        det = cfg.detector_model()
+        assert det.efficiency == 1.0
+        assert det.dark_rate == 0.0
+        # every other value is the one the model or build_pattern declares
+        assert det == DetectorModel()
+        assert bg == BackgroundModel(rate=0.0)
+        assert build_pattern(**cfg.pattern_args()) == build_pattern("fib_grid")
+    # the last config sets the required keys of every model
+    required = [cfg.require("emitter", k) for k in ("lifetime", "sat_power", "sat_rate")]
+    assert cfg.emitter_model() == EmitterModel(*required)
+    assert cfg.creation_model() == CreationModel(cfg.require("creation", "p_success"))
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -145,22 +169,23 @@ TINY = {
     },
     "run": {"seed": "23", "duration": "2 ms", "power": "300 uW", "resolution": "1 ps"},
 }
-# the frame keys act only on a frame: 16 cells of about 4 ions each; kind
-# is changed from frame to a one-row fib_grid
-FRAME_KEYS = ("kind", "fluence_per_cm2", "frame_size", "frame_width")
+# the frame keys act only on a frame: 16 cells of about 4 ions each
+FRAME_KEYS = ("fluence_per_cm2", "frame_size", "frame_width")
 TINY_FRAME = {
     **TINY,
     "pattern": {
         "kind": "frame",
-        "rows": "1",
         "fluence_per_cm2": "1e8",
         "frame_size": "10 um",
         "frame_width": "2 um",
     },
 }
+# kind is changed from mask_holes to frame, the two kinds that read every key
+# of this base
+TINY_MASK = {**TINY, "pattern": {"kind": "mask_holes", "pitch": "10 um", "fluence_per_cm2": "1e8"}}
 # (section, key) -> the other value it is set to
 CHANGED = {
-    ("pattern", "kind"): "fib_grid",
+    ("pattern", "kind"): "frame",
     ("pattern", "pitch"): "12 um",
     ("pattern", "fluence_per_cm2"): "2e8",
     ("pattern", "rows"): "2",
@@ -216,13 +241,13 @@ def _outputs(tmp_path, sections, tag):
 
 def test_every_schema_key_changes_an_output(tmp_path):
     assert set(CHANGED) == {(s, k) for s, keys in _SCHEMA.items() for k in keys}
-    bases = {"fib": TINY, "frame": TINY_FRAME}
+    bases = {"fib": TINY, "frame": TINY_FRAME, "mask": TINY_MASK}
     base_outputs = {name: _outputs(tmp_path, base, name) for name, base in bases.items()}
     for codes, _ in base_outputs.values():
         assert codes == (0, 0)
     inert = []
     for (section, key), value in CHANGED.items():
-        name = "frame" if key in FRAME_KEYS else "fib"
+        name = "mask" if key == "kind" else "frame" if key in FRAME_KEYS else "fib"
         changed = {**bases[name], section: {**bases[name][section], key: value}}
         codes, files = _outputs(tmp_path, changed, f"{section}_{key}")
         assert codes == (0, 0), (section, key)
@@ -237,4 +262,42 @@ def test_removed_keys_are_rejected(tmp_path, section, key, value):
     ini = _write(tmp_path, _ini(sections))
     with pytest.raises(ConfigError, match=key):
         load_config(ini)
+    assert main(["simulate", str(ini), str(tmp_path / "out")]) == 2
+
+
+# [pattern] sections that pattern and simulate refuse: a key the kind does
+# not read names the key and the kind; out-of-range geometry is a DomainError
+FRAME = TINY_FRAME["pattern"]
+REFUSED = {
+    "frame+rows": ({**FRAME, "rows": "1"}, ConfigError, "frame.*rows"),
+    "fib_grid+fluence_per_cm2": (
+        {"kind": "fib_grid", "fluence_per_cm2": "5e12"}, ConfigError, "fib_grid.*fluence"
+    ),
+    "fib_grid+frame_size": (
+        {"kind": "fib_grid", "frame_size": "50 um"}, ConfigError, "fib_grid.*frame_size"
+    ),
+    "fib_grid+frame_width": (
+        {"kind": "fib_grid", "frame_width": "2 um"}, ConfigError, "fib_grid.*frame_width"
+    ),
+    "mask_holes+frame_size": (
+        {**TINY_MASK["pattern"], "frame_size": "50 um"}, ConfigError, "mask_holes.*frame_size"
+    ),
+    "mask_holes+frame_width": (
+        {**TINY_MASK["pattern"], "frame_width": "2 um"}, ConfigError, "mask_holes.*frame_width"
+    ),
+    "rows=-2": ({"kind": "fib_grid", "rows": "-2"}, DomainError, "rows"),
+    "rows=0": ({"kind": "fib_grid", "rows": "0"}, DomainError, "rows"),
+    "rows=40": ({"kind": "fib_grid", "rows": "40"}, DomainError, "1..15"),
+    "mask rows=21": ({**TINY_MASK["pattern"], "rows": "21"}, DomainError, "1..20"),
+    "frame_width=0": ({**FRAME, "frame_width": "0 um"}, DomainError, "frame_width"),
+    "frame_size<0": ({**FRAME, "frame_size": "-10 um"}, DomainError, "frame_size"),
+}
+
+
+@pytest.mark.parametrize("pattern,error,match", REFUSED.values(), ids=REFUSED)
+def test_pattern_keys_and_geometry_checked(tmp_path, pattern, error, match):
+    ini = _write(tmp_path, _ini({**TINY, "pattern": pattern}))
+    with pytest.raises(error, match=match):
+        build_pattern(**load_config(ini).pattern_args())
+    assert main(["pattern", str(ini), str(tmp_path / "p.csv")]) == 2
     assert main(["simulate", str(ini), str(tmp_path / "out")]) == 2
