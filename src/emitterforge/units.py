@@ -75,14 +75,16 @@ def parse_quantity(text: str, kind: str, key: str | None = None) -> float:
         value = float(parts[0])
     except ValueError:
         raise ConfigError(f"cannot parse number in {text!r}{where}", key=key) from None
-    if len(parts) == 1:
-        return value
-    suffix = parts[1]
-    if suffix not in table:
-        raise ConfigError(
-            f"unknown {kind} unit {suffix!r} in {text!r}{where}", key=key
-        )
-    return value * table[suffix]
+    if len(parts) == 2:
+        suffix = parts[1]
+        if suffix not in table:
+            raise ConfigError(
+                f"unknown {kind} unit {suffix!r} in {text!r}{where}", key=key
+            )
+        value *= table[suffix]
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite quantity, got {text!r}{where}", key=key)
+    return value
 
 
 def parse_int(text: str, key: str | None = None) -> int:
@@ -92,6 +94,6 @@ def parse_int(text: str, key: str | None = None) -> int:
         as_float = float(text)
     except ValueError:
         raise ConfigError(f"cannot parse integer {text!r}{where}", key=key) from None
-    if as_float != int(as_float):
+    if not math.isfinite(as_float) or as_float != int(as_float):
         raise ConfigError(f"expected an integer, got {text!r}{where}", key=key)
     return int(as_float)

@@ -1,7 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from emitterforge import cli
+from emitterforge.analysis import debye_waller, fit_saturation
 from emitterforge.cli import main
+from emitterforge.errors import ConfigError, DomainError, FormatError
 from emitterforge.photonsim import (
     DetectorModel,
     EmitterModel,
@@ -149,6 +154,45 @@ def test_simulate_manifest_has_config_hash(small_ini, tmp_path):
     assert len(head.split("config_hash=")[1].split()[0]) == 64
 
 
+def test_simulate_bad_resolution_exit_2_before_any_site(tmp_path, capsys):
+    ini = tmp_path / "res.ini"
+    ini.write_text(
+        BASE_INI.format(rows="rows = 1\n", seed="seed = 5\nresolution = 1.5 ps\n")
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", str(ini), str(out)]) == 2
+    assert "picoseconds" in capsys.readouterr().err
+    assert not out.exists()  # refused before the first site, not at its write
+
+
+def test_simulate_worker_io_error_exit_3(small_ini, tmp_path, monkeypatch, capfd):
+    monkeypatch.setattr(cli, "_worker_count", lambda n_sites: 2)
+    out = tmp_path / "out"
+    (out / "C1.ttg").mkdir(parents=True)  # the worker cannot write C1
+    assert main(["simulate", str(small_ini), str(out)]) == 3
+    err = capfd.readouterr().err
+    assert err.startswith("i/o error:") and "C1.ttg" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize("error,code", [(ConfigError, 2), (DomainError, 2), (FormatError, 4)])
+def test_simulate_worker_error_keeps_exit_code(small_ini, tmp_path, monkeypatch, capfd, error, code):
+    simulate_site = cli._simulate_site
+
+    def failing(site, index, *rest):
+        if index == 5:
+            raise error(f"site {site.label} refused")
+        return simulate_site(site, index, *rest)
+
+    # the forked workers inherit the patched module
+    monkeypatch.setattr(cli, "_simulate_site", failing)
+    monkeypatch.setattr(cli, "_worker_count", lambda n_sites: 2)
+    assert main(["simulate", str(small_ini), str(tmp_path / "out")]) == code
+    err = capfd.readouterr().err
+    assert "site F1 refused" in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def single_emitter_file(tmp_path_factory):
     # one bright two-level emitter through an HBT pair, both channels in
@@ -171,8 +215,6 @@ def test_g2_reports_antibunching(single_emitter_file, capsys):
 
 
 def test_g2_prints_fit_flags_after_existing_lines(single_emitter_file, monkeypatch, capsys):
-    from emitterforge import cli
-
     args = ["g2", str(single_emitter_file), "--bin", "2 ns", "--window", "300 ns"]
     fit_g2 = cli.fit_g2
 
@@ -311,6 +353,19 @@ def test_dw_subcommand(tmp_path, capsys):
     dw_line = [l for l in out.splitlines() if l.startswith("dw ")][0]
     # areas: 1*2 vs 0.25*16 -> DW = 1/3
     assert float(dw_line.split()[1]) == pytest.approx(1.0 / 3.0, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "argv,dest,function,param",
+    [
+        (["saturation", "sweep.csv"], "dwell", fit_saturation, "dwell_time"),
+        (["dw", "spectrum.csv"], "psb", debye_waller, "n_psb"),
+        (["dw", "spectrum.csv"], "method", debye_waller, "method"),
+    ],
+)
+def test_parser_defaults_are_the_functions_defaults(argv, dest, function, param):
+    args = cli._build_parser().parse_args(argv)
+    assert getattr(args, dest) == inspect.signature(function).parameters[param].default
 
 
 def test_bad_subcommand_exit_2(capsys):

@@ -301,3 +301,25 @@ def test_pattern_keys_and_geometry_checked(tmp_path, pattern, error, match):
         build_pattern(**load_config(ini).pattern_args())
     assert main(["pattern", str(ini), str(tmp_path / "p.csv")]) == 2
     assert main(["simulate", str(ini), str(tmp_path / "out")]) == 2
+
+
+NON_FINITE = [
+    (section, key, number + unit)
+    for section, key, unit in [
+        ("pattern", "rows", ""), ("run", "seed", ""),
+        ("pattern", "pitch", " um"), ("run", "duration", " s"),
+    ]
+    for number in ("inf", "nan")
+]
+
+
+@pytest.mark.parametrize("section,key,value", NON_FINITE)
+def test_non_finite_values_rejected_by_key(tmp_path, capsys, section, key, value):
+    sections = {**TINY, section: {**TINY[section], key: value}}
+    ini = _write(tmp_path, _ini(sections))
+    with pytest.raises(ConfigError, match=key) as info:
+        load_config(ini)
+    assert info.value.key == key
+    assert main(["pattern", str(ini), str(tmp_path / "p.csv")]) == 2
+    assert main(["simulate", str(ini), str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err

@@ -28,7 +28,9 @@ rather than from this package; the failure message names both versions.
 import hashlib
 
 import numpy as np
+import pytest
 
+from emitterforge import cli
 from emitterforge.cli import main
 
 # the numpy version the digests below were taken with
@@ -109,14 +111,17 @@ UNIT_EFFICIENCY_SHA256 = {
 }
 
 
-def _check_digests(tmp_path, ini_text, expected):
-    ini = tmp_path / "golden.ini"
+def _digests(tmp_path, ini_text, name="run"):
+    """SHA-256 of every file a ``simulate`` run of ``ini_text`` writes."""
+    ini = tmp_path / f"{name}.ini"
     ini.write_text(ini_text)
-    out = tmp_path / "run"
+    out = tmp_path / name
     assert main(["simulate", str(ini), str(out)]) == 0
-    digests = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
-    }
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+def _check_digests(tmp_path, ini_text, expected, name="run"):
+    digests = _digests(tmp_path, ini_text, name)
     assert sorted(digests) == sorted(expected)
     changed = sorted(name for name in digests if digests[name] != expected[name])
     assert not changed, (
@@ -131,3 +136,23 @@ def test_simulate_output_matches_golden_digests(tmp_path):
 
 def test_simulate_unit_efficiency_matches_golden_digests(tmp_path):
     _check_digests(tmp_path, UNIT_EFFICIENCY_INI, UNIT_EFFICIENCY_SHA256)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_digests_for_any_worker_count(tmp_path, monkeypatch, workers):
+    monkeypatch.setattr(cli, "_worker_count", lambda n_sites: workers)
+    _check_digests(tmp_path, GOLDEN_INI, GOLDEN_SHA256, name="golden")
+    _check_digests(tmp_path, UNIT_EFFICIENCY_INI, UNIT_EFFICIENCY_SHA256, name="unit")
+
+
+def test_serial_and_parallel_runs_write_identical_bytes(tmp_path, monkeypatch):
+    """A three-row grid (48 sites) run in this process and on three worker
+    processes: every file, the manifest included, is the same byte for
+    byte."""
+    ini_text = GOLDEN_INI.replace("rows = 1", "rows = 3").replace("0.004 s", "0.002 s")
+    runs = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(cli, "_worker_count", lambda n_sites: workers)
+        runs[workers] = _digests(tmp_path, ini_text, name=f"workers{workers}")
+    assert len(runs[1]) == 49
+    assert runs[1] == runs[3]
