@@ -1,4 +1,6 @@
 import inspect
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -191,6 +193,32 @@ def test_simulate_worker_error_keeps_exit_code(small_ini, tmp_path, monkeypatch,
     assert main(["simulate", str(small_ini), str(tmp_path / "out")]) == code
     err = capfd.readouterr().err
     assert "site F1 refused" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["one worker", "no fork", "daemonic caller", "another thread"])
+def test_simulate_maps_in_process_where_fork_is_unsafe(small_ini, tmp_path, monkeypatch, case):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_worker_count", lambda n_sites: 1 if case == "one worker" else 2)
+    if case == "no fork":
+        monkeypatch.setattr(cli.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    if case == "daemonic caller":
+        daemonic = types.SimpleNamespace(daemon=True)
+        monkeypatch.setattr(cli.multiprocessing, "current_process", lambda: daemonic)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30,))
+    if case == "another thread":
+        other.start()
+    try:
+        assert main(["simulate", str(small_ini), str(tmp_path / "out")]) == 0
+    finally:
+        stop.set()
+        if other.is_alive():
+            other.join(timeout=30)
+    assert not other.is_alive()
+    assert len(list((tmp_path / "out").iterdir())) == 17
 
 
 @pytest.fixture(scope="module")
