@@ -124,15 +124,28 @@ def _worker_count(n_sites: int) -> int:
     return max(1, min(cpus, n_sites))
 
 
+def _site_chain() -> tuple:
+    """The package functions a site's job calls, where it looks them up."""
+    return (
+        sample_ion_counts, defectstats.sample_defect_count, simulate_emitter_tags,
+        simulate_background_tags, run_detection, merge_streams, write_timetags,
+    )
+
+
+_SITE_CHAIN = _site_chain()
+
+
 def _map_sites(job, sites) -> list:
     """``job(index, site)`` for every site, in site order.
 
     The sites run in forked worker processes: ``spawn`` and ``forkserver``
     import the package again in every worker, which on the 240-site grid
     cost more than one process takes for all of it. Where there is one
-    worker, no ``fork``, a daemonic caller (which may not have children)
-    or another thread (which may hold a lock at the fork), the same job is
-    mapped in this process.
+    worker, no ``fork``, a daemonic caller (which may not have children),
+    another thread (which may hold a lock at the fork) or a caller that has
+    replaced a function of the site chain (a tracer or a test double keeps
+    its record of the calls in this process, where a worker's calls never
+    arrive), the same job is mapped in this process.
     """
     workers = _worker_count(len(sites))
     if (
@@ -140,6 +153,7 @@ def _map_sites(job, sites) -> list:
         or "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
         or threading.active_count() > 1
+        or _site_chain() != _SITE_CHAIN
     ):
         return list(map(job, range(len(sites)), sites))
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))

@@ -195,7 +195,9 @@ def test_simulate_worker_error_keeps_exit_code(small_ini, tmp_path, monkeypatch,
     assert "site F1 refused" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", ["one worker", "no fork", "daemonic caller", "another thread"])
+@pytest.mark.parametrize(
+    "case", ["one worker", "no fork", "daemonic caller", "another thread", "traced function"]
+)
 def test_simulate_maps_in_process_where_fork_is_unsafe(small_ini, tmp_path, monkeypatch, case):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
@@ -207,6 +209,15 @@ def test_simulate_maps_in_process_where_fork_is_unsafe(small_ini, tmp_path, monk
     if case == "daemonic caller":
         daemonic = types.SimpleNamespace(daemon=True)
         monkeypatch.setattr(cli.multiprocessing, "current_process", lambda: daemonic)
+    calls = []
+    if case == "traced function":
+        run_detection = cli.run_detection
+
+        def traced(*args, **kwargs):
+            calls.append(args[0].n_tags)
+            return run_detection(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_detection", traced)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait, args=(30,))
     if case == "another thread":
@@ -219,6 +230,7 @@ def test_simulate_maps_in_process_where_fork_is_unsafe(small_ini, tmp_path, monk
             other.join(timeout=30)
     assert not other.is_alive()
     assert len(list((tmp_path / "out").iterdir())) == 17
+    assert len(calls) == (16 if case == "traced function" else 0)
 
 
 @pytest.fixture(scope="module")

@@ -28,7 +28,6 @@ rather than from this package; the failure message names both versions.
 import hashlib
 
 import numpy as np
-import pytest
 
 from emitterforge import cli
 from emitterforge.cli import main
@@ -111,7 +110,7 @@ UNIT_EFFICIENCY_SHA256 = {
 }
 
 
-def _digests(tmp_path, ini_text, name="run"):
+def _digests(tmp_path, ini_text, name):
     """SHA-256 of every file a ``simulate`` run of ``ini_text`` writes."""
     ini = tmp_path / f"{name}.ini"
     ini.write_text(ini_text)
@@ -120,29 +119,26 @@ def _digests(tmp_path, ini_text, name="run"):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
 
-def _check_digests(tmp_path, ini_text, expected, name="run"):
-    digests = _digests(tmp_path, ini_text, name)
-    assert sorted(digests) == sorted(expected)
-    changed = sorted(name for name in digests if digests[name] != expected[name])
-    assert not changed, (
-        f"output bytes changed in {changed} (digests taken with numpy "
-        f"{GOLDEN_NUMPY}, running numpy {np.__version__})"
-    )
+def _check_digests(tmp_path, monkeypatch, ini_text, expected):
+    """The digests hold with the sites run in this process and on two
+    worker processes."""
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_worker_count", lambda n_sites: workers)
+        digests = _digests(tmp_path, ini_text, name=f"workers{workers}")
+        assert sorted(digests) == sorted(expected)
+        changed = sorted(name for name in digests if digests[name] != expected[name])
+        assert not changed, (
+            f"output bytes changed in {changed} at {workers} worker(s) (digests "
+            f"taken with numpy {GOLDEN_NUMPY}, running numpy {np.__version__})"
+        )
 
 
-def test_simulate_output_matches_golden_digests(tmp_path):
-    _check_digests(tmp_path, GOLDEN_INI, GOLDEN_SHA256)
+def test_simulate_output_matches_golden_digests(tmp_path, monkeypatch):
+    _check_digests(tmp_path, monkeypatch, GOLDEN_INI, GOLDEN_SHA256)
 
 
-def test_simulate_unit_efficiency_matches_golden_digests(tmp_path):
-    _check_digests(tmp_path, UNIT_EFFICIENCY_INI, UNIT_EFFICIENCY_SHA256)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_golden_digests_for_any_worker_count(tmp_path, monkeypatch, workers):
-    monkeypatch.setattr(cli, "_worker_count", lambda n_sites: workers)
-    _check_digests(tmp_path, GOLDEN_INI, GOLDEN_SHA256, name="golden")
-    _check_digests(tmp_path, UNIT_EFFICIENCY_INI, UNIT_EFFICIENCY_SHA256, name="unit")
+def test_simulate_unit_efficiency_matches_golden_digests(tmp_path, monkeypatch):
+    _check_digests(tmp_path, monkeypatch, UNIT_EFFICIENCY_INI, UNIT_EFFICIENCY_SHA256)
 
 
 def test_serial_and_parallel_runs_write_identical_bytes(tmp_path, monkeypatch):
