@@ -156,6 +156,8 @@ def fit_saturation(
         raise DomainError("powers must be positive")
     if np.max(p) / np.min(p) < 10.0:
         raise DomainError("powers must span at least a factor of 10")
+    if not 0.0 < dwell_time < math.inf:
+        raise DomainError(f"dwell time must be finite and positive, got {dwell_time}")
     order = np.argsort(p)
     p, y = p[order], y[order]
     if sigma is None:

@@ -9,11 +9,11 @@ for k >= 2.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError
 
@@ -152,7 +152,9 @@ def wilson_interval(
     """Wilson score interval for binomial proportions count/total."""
     if total <= 0:
         raise DomainError("total must be positive")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    if not 0.0 < confidence < 1.0:
+        raise DomainError(f"confidence must be in (0, 1), got {confidence}")
+    z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = np.asarray(counts, dtype=float) / total
     denom = 1.0 + z * z / total
     center = (p_hat + z * z / (2.0 * total)) / denom

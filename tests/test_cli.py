@@ -1,10 +1,15 @@
 import inspect
+import os
+import subprocess
+import sys
 import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emitterforge
 from emitterforge import cli
 from emitterforge.analysis import debye_waller, fit_saturation
 from emitterforge.cli import main
@@ -341,16 +346,29 @@ def test_stats_bad_line_exit_4(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-def test_saturation_subcommand(tmp_path, capsys):
+@pytest.fixture
+def saturation_csv(tmp_path):
     from emitterforge.analysis import saturation_model, write_saturation_csv
 
     p = np.linspace(10e-6, 880e-6, 12)
     path = tmp_path / "sat.csv"
     write_saturation_csv(p, saturation_model(p, 13000.0, 110e-6, 0.0), path)
-    assert main(["saturation", str(path)]) == 0
+    return path
+
+
+def test_saturation_subcommand(saturation_csv, capsys):
+    assert main(["saturation", str(saturation_csv)]) == 0
     report = capsys.readouterr().out
     sat_line = [l for l in report.splitlines() if l.startswith("sat_rate")][0]
     assert float(sat_line.split()[1]) == pytest.approx(13000.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("dwell", ["0", "-1s"])
+def test_saturation_bad_dwell_exit_2(saturation_csv, capsys, dwell):
+    assert main(["saturation", str(saturation_csv), f"--dwell={dwell}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid value: dwell time")
+    assert "Traceback" not in err
 
 
 def test_decay_subcommand(tmp_path, capsys):
@@ -406,6 +424,25 @@ def test_dw_subcommand(tmp_path, capsys):
 def test_parser_defaults_are_the_functions_defaults(argv, dest, function, param):
     args = cli._build_parser().parse_args(argv)
     assert getattr(args, dest) == inspect.signature(function).parameters[param].default
+
+
+def test_cli_runs_without_scipy(small_ini, tmp_path):
+    # numpy is the only runtime dependency: scipy is for the tests alone
+    counts = tmp_path / "counts.txt"
+    counts.write_text("0\n1\n1\n2\n")
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import emitterforge\n"
+        "from emitterforge.cli import main\n"
+        f"assert main(['stats', {str(counts)!r}]) == 0\n"
+        f"assert main(['simulate', {str(small_ini)!r}, {str(tmp_path / 'sim')!r}]) == 0\n"
+    )
+    src = str(Path(emitterforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "sim" / "manifest.csv").is_file()
 
 
 def test_bad_subcommand_exit_2(capsys):

@@ -143,6 +143,12 @@ def test_wilson_interval_edge_cases():
     assert lo[1] < 1.0
 
 
+@pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_wilson_interval_confidence_outside_unit_interval(confidence):
+    with pytest.raises(DomainError, match="confidence"):
+        wilson_interval(np.array([8]), 16, confidence=confidence)
+
+
 def test_occurrence_histogram_all_ones():
     dist = occurrence_histogram(np.array([1, 1, 1, 1]))
     assert dist.probabilities.tolist() == [0.0, 1.0]
