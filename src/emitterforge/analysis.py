@@ -550,6 +550,11 @@ def debye_waller(
 
     if n_psb < 1:
         raise DomainError(f"n_psb must be at least 1, got {n_psb}")
+    if 5 + 3 * n_psb > wl.size:
+        raise DomainError(
+            f"n_psb = {n_psb} needs {5 + 3 * n_psb} parameters, more than the"
+            f" {wl.size} spectrum points"
+        )
     span = float(wl[-1] - wl[0])
     dwl = float(np.min(np.diff(wl)))
     u_wl = (wl - wl[0]) / span

@@ -5,8 +5,8 @@ run is deterministic given its config file and seed; the seed resolves as
 ``--seed`` flag, then ``[run] seed`` in the config, then the
 EMITTERFORGE_SEED environment variable.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 data format
-error, 5 fit failure.
+Exit codes: 0 success, 2 configuration error or invalid value (out of
+memory included), 3 I/O error, 4 data format error, 5 fit failure.
 """
 from __future__ import annotations
 
@@ -138,14 +138,15 @@ _SITE_CHAIN = _site_chain()
 def _map_sites(job, sites) -> list:
     """``job(index, site)`` for every site, in site order.
 
-    The sites run in forked worker processes: ``spawn`` and ``forkserver``
-    import the package again in every worker, which on the 240-site grid
-    cost more than one process takes for all of it. Where there is one
+    The sites run in forked worker processes: on the 240-site grid with 2
+    workers ``fork`` was the fastest start method, since ``forkserver`` and
+    ``spawn`` import the package again in every worker. Where forking is
+    unsafe or cannot help, the same job is mapped in this process: one
     worker, no ``fork``, a daemonic caller (which may not have children),
     another thread (which may hold a lock at the fork) or a caller that has
     replaced a function of the site chain (a tracer or a test double keeps
     its record of the calls in this process, where a worker's calls never
-    arrive), the same job is mapped in this process.
+    arrive).
     """
     workers = _worker_count(len(sites))
     if (
@@ -205,22 +206,17 @@ def _simulate_site(
     k_ion, k_defect, k_emit, k_bg, k_det = np.random.SeedSequence(
         [seed, index]
     ).spawn(5)
-    n_ions = int(sample_ion_counts(site.expected_ions, np.random.default_rng(k_ion)))
-    n_centers = int(
-        defectstats.sample_defect_count(n_ions, creation, np.random.default_rng(k_defect))
-    )
+    n_ions = int(sample_ion_counts(site.expected_ions, k_ion))
+    n_centers = int(defectstats.sample_defect_count(n_ions, creation, k_defect))
     eta = detector.efficiency
     detected = dataclasses.replace(emitter, sat_rate=emitter.sat_rate * eta)
     stream = simulate_emitter_tags([detected] * n_centers, power, duration, k_emit, resolution)
     if background.rate * eta > 0:
         stream = merge_streams(
-            stream,
-            simulate_background_tags(
-                background.rate * eta, duration, np.random.default_rng(k_bg), resolution
-            ),
+            stream, simulate_background_tags(background.rate * eta, duration, k_bg, resolution)
         )
     detector = dataclasses.replace(detector, efficiency=1.0)
-    arm_a, arm_b = run_detection(stream, split, detector, detector, np.random.default_rng(k_det))
+    arm_a, arm_b = run_detection(stream, split, detector, detector, k_det)
     return n_ions, n_centers, arm_a, arm_b
 
 
@@ -410,6 +406,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse of some Python versions reads "--opt=--" as an empty list
+        for name, value in vars(args).items():
+            if value == []:
+                parser.error(f"argument --{name}: expected one argument")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
@@ -426,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # values that ask for more than the machine has
+        print(f"invalid value: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -97,37 +97,18 @@ class G2Fit:
     flags: dict = field(default_factory=dict)
 
 
+def _dip(n, a, e1, e2):
+    """The dip model from e1 = e^(-|tau|/tau1) and e2 = e^(-|tau|/tau2);
+    written so g2(0) == (N-1)/N holds exactly in floats."""
+    return (n - 1.0) / n + ((1.0 - e1) - a * (e1 - e2)) / n
+
+
 def g2_model(tau, n_emitters: float, a: float, tau1: float, tau2: float):
-    """Dip model; written so g2(0) == (N-1)/N holds exactly in floats."""
+    """Dip model; g2(0) == (N-1)/N exactly."""
     if tau1 <= 0.0 or tau2 <= 0.0 or n_emitters < 1.0:
         return np.full(np.shape(tau), np.inf)
     t = np.abs(np.asarray(tau, dtype=float))
-    e1 = np.exp(-t / tau1)
-    e2 = np.exp(-t / tau2)
-    return (n_emitters - 1.0) / n_emitters + ((1.0 - e1) - a * (e1 - e2)) / n_emitters
-
-
-def _bin_kernel(a_ticks, b_ticks, bin_ticks, m_bins):
-    """Raw coincidence counts for delays b - a in bins -m..+m."""
-    raw = np.zeros(2 * m_bins + 1, dtype=np.int64)
-    reach = m_bins * bin_ticks + bin_ticks // 2
-    two_b = 2 * bin_ticks
-    for start in range(0, a_ticks.size, _A_CHUNK):
-        a = a_ticks[start : start + _A_CHUNK]
-        lo = np.searchsorted(b_ticks, a - reach, side="left")
-        hi = np.searchsorted(b_ticks, a + reach, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        rep = np.repeat(np.arange(a.size), counts)
-        cum = np.concatenate(([0], np.cumsum(counts[:-1])))
-        seg = np.arange(total) - np.repeat(cum, counts) + np.repeat(lo, counts)
-        d = b_ticks[seg] - a[rep]
-        k = np.sign(d) * ((2 * np.abs(d) + bin_ticks) // two_b)
-        k = k[np.abs(k) <= m_bins]
-        raw += np.bincount((k + m_bins).astype(np.int64), minlength=2 * m_bins + 1)
-    return raw
+    return _dip(n_emitters, a, np.exp(-t / tau1), np.exp(-t / tau2))
 
 
 def _bin_coverage(bin_ticks: int, m_bins: int) -> np.ndarray:
@@ -159,11 +140,14 @@ def correlate_chunked(
     window: float = DEFAULT_WINDOW,
     n_chunks: int = 1,
 ) -> G2Histogram:
-    """:func:`correlate` with channel A split into ``n_chunks`` chunks, each
-    correlated against the slice of B within reach of it; the raw counts
-    are summed, so the histogram is bin-for-bin the same for any
+    """:func:`correlate` with channel A split into at least ``n_chunks``
+    chunks, each correlated against the slice of B within reach of it; the
+    raw counts are summed, so the histogram is bin-for-bin the same for any
     ``n_chunks``. Exists so large streams can be processed in parallel or
     out of core.
+
+    A histogram, or a set of pairs, too large for the available memory
+    raises :class:`DomainError` naming the bin count.
     """
     if n_chunks < 1:
         raise DomainError(f"n_chunks must be at least 1, got {n_chunks}")
@@ -172,46 +156,81 @@ def correlate_chunked(
     if a.resolution != b.resolution:
         raise DomainError("streams have mismatched resolutions")
     res = a.resolution
-    bin_ticks = int(round(bin_width / res))
-    if bin_ticks < 1:
+    # the checks are written so that nan fails them; round(0.5) is 0
+    ticks = bin_width / res
+    if not ticks > 0.5:
         raise DomainError(f"bin width {bin_width!r} s is below the tick resolution")
+    if not ticks < 2**62:
+        raise DomainError(f"bin width {bin_width!r} s is more than 2**62 ticks")
+    bin_ticks = int(round(ticks))
     snapped = bin_ticks * res
-    m_bins = int(round(window / snapped))
-    if m_bins < 1:
+    half_bins = window / snapped
+    if not half_bins > 0.5:
         raise DomainError(
             f"window {window!r} s is smaller than the bin width {snapped!r} s"
         )
+    if not half_bins < 2**58:  # past any address space
+        raise DomainError(f"window {window!r} s holds over 2**58 bins of {snapped!r} s")
+    m_bins = int(round(half_bins))
     total_time = max(a.duration, b.duration)
     if total_time <= 0:
         raise DomainError("streams have zero duration")
 
-    reach = m_bins * bin_ticks + bin_ticks // 2
-    raw = np.zeros(2 * m_bins + 1, dtype=np.int64)
-    for a_part in np.array_split(a.timestamps, n_chunks):
-        if a_part.size == 0:
-            continue
-        lo = np.searchsorted(b.timestamps, a_part[0] - reach, side="left")
-        hi = np.searchsorted(b.timestamps, a_part[-1] + reach, side="right")
-        raw += _bin_kernel(a_part, b.timestamps[lo:hi], bin_ticks, m_bins)
+    n_bins = 2 * m_bins + 1
+    # no delay is longer than the last tag, so clamping the reach to it
+    # drops no pair and keeps a + reach in int64 below 2**62 ticks
+    last = max(int(a.timestamps[-1]), int(b.timestamps[-1]))
+    reach = min(m_bins * bin_ticks + bin_ticks // 2, last)
+    try:
+        raw = np.zeros(n_bins, dtype=np.int64)
+        two_b = 2 * bin_ticks
+        # at most _A_CHUNK starts per part bound the pair arrays' memory
+        n_parts = max(n_chunks, -(-a.n_tags // _A_CHUNK))
+        for a_part in np.array_split(a.timestamps, n_parts):
+            if a_part.size == 0:
+                continue
+            b_part = b.timestamps[
+                np.searchsorted(b.timestamps, a_part[0] - reach, side="left") :
+                np.searchsorted(b.timestamps, a_part[-1] + reach, side="right")
+            ]
+            lo = np.searchsorted(b_part, a_part - reach, side="left")
+            counts = np.searchsorted(b_part, a_part + reach, side="right") - lo
+            total = int(counts.sum())
+            if total == 0:
+                continue
+            # every (start, stop) pair in reach: the stops of start i are
+            # b_part[lo[i] : lo[i] + counts[i]]
+            starts = np.repeat(np.arange(a_part.size), counts)
+            first = np.concatenate(([0], np.cumsum(counts[:-1])))
+            stops = np.arange(total) - np.repeat(first, counts) + np.repeat(lo, counts)
+            d = b_part[stops] - a_part[starts]
+            k = np.sign(d) * ((2 * np.abs(d) + bin_ticks) // two_b)
+            k = k[np.abs(k) <= m_bins]
+            raw += np.bincount(k + m_bins, minlength=n_bins)
 
-    coverage = _bin_coverage(bin_ticks, m_bins)
-    rate_a = a.n_tags / total_time
-    rate_b = b.n_tags / total_time
-    normalizer = rate_a * rate_b * (coverage * res) * total_time
-    return G2Histogram(
-        bin_width=snapped,
-        window=window,
-        tau=(np.arange(-m_bins, m_bins + 1) * bin_ticks) * res,
-        g2=raw / normalizer,
-        sigma=np.sqrt(raw) / normalizer,
-        raw=raw,
-        normalizer=normalizer,
-        rate_a=rate_a,
-        rate_b=rate_b,
-        total_time=total_time,
-        resolution=res,
-        flags={"window_exceeds_duration": True} if window > total_time else {},
-    )
+        coverage = _bin_coverage(bin_ticks, m_bins)
+        rate_a = a.n_tags / total_time
+        rate_b = b.n_tags / total_time
+        normalizer = rate_a * rate_b * (coverage * res) * total_time
+        return G2Histogram(
+            bin_width=snapped,
+            window=window,
+            tau=(np.arange(-m_bins, m_bins + 1) * bin_ticks) * res,
+            g2=raw / normalizer,
+            sigma=np.sqrt(raw) / normalizer,
+            raw=raw,
+            normalizer=normalizer,
+            rate_a=rate_a,
+            rate_b=rate_b,
+            total_time=total_time,
+            resolution=res,
+            flags={"window_exceeds_duration": True} if window > total_time else {},
+        )
+    except MemoryError:
+        raise DomainError(
+            f"{n_bins} bins of {snapped!r} s and their pairs do not fit in memory;"
+            " widen the bin or narrow the window"
+        ) from None
 
 
 def _dip_half_width(tau: np.ndarray, g2: np.ndarray) -> float:
@@ -299,11 +318,10 @@ class _BinnedDip:
 
     def model(self, p: np.ndarray) -> np.ndarray:
         """Bin-averaged :func:`g2_model`; non-finite outside its domain."""
-        n, a = p[0], p[1]
-        if p[2] <= 0.0 or p[3] <= 0.0 or n < 1.0:
+        if p[2] <= 0.0 or p[3] <= 0.0 or p[0] < 1.0:
             return np.full(self._t0.shape, np.inf)
         e1, _, e2, _ = self._evaluate(p)
-        return (n - 1.0) / n + ((1.0 - e1) - a * (e1 - e2)) / n
+        return _dip(p[0], p[1], e1, e2)
 
     def residual(self, p: np.ndarray) -> np.ndarray:
         return (self.model(p) - self._y) / self._sigma
@@ -329,10 +347,14 @@ def fit_g2(hist: G2Histogram) -> G2Fit:
     half-width, tau2 = 10 tau1. Bounds keep N >= 1, a >= 0 and both time
     constants positive. ``no_dip`` is flagged when the weighted mean of
     the central bins is not significantly (3 sigma) below the weighted
-    mean of the outer half of the window.
+    mean of the outer half of the window. A histogram whose g2 values or
+    weights are out of float range raises :class:`DomainError`.
     """
     tau, y = hist.tau, hist.g2
     sigma = hist.fit_sigma()
+    # a background correction by a tiny rho can push both out of float range
+    if not (np.all(np.isfinite(y)) and np.all(1.0 / sigma**2 > 0.0)):
+        raise DomainError("g2 values or their weights are out of float range")
     g_max = float(np.max(y))
 
     # dip significance: central 5 bins against the outer half-window

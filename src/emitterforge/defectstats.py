@@ -99,7 +99,10 @@ def composite_defect_pmf(mu: float, k: int, n_centers: int) -> float:
     if n_centers < 0 or int(n_centers) != n_centers:
         raise DomainError(f"n_centers must be a nonnegative integer, got {n_centers}")
     k, n_centers = int(k), int(n_centers)
-    return sum(poisson_pmf(mu, m) for m in range(n_centers * k, n_centers * k + k))
+    start = n_centers * k
+    # every term from max(e^2 mu, 746) on is below e^-746, so exactly 0.0
+    stop = min(start + k, max(start + 1, math.ceil(math.e**2 * mu), 746))
+    return sum(poisson_pmf(mu, m) for m in range(start, stop))
 
 
 def composite_pmf_array(mu: float, k: int, n_max: int) -> np.ndarray:

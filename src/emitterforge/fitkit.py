@@ -57,7 +57,8 @@ class FitOutcome:
 
     ``covariance`` is scaled by the residual variance (reduced chi-square);
     it is None when there are no spare degrees of freedom. ``flags`` may
-    contain 'covariance_singular' (pseudo-inverse was used) and
+    contain 'covariance_singular' (pseudo-inverse was used, or the
+    covariance is None because the normal matrix left float range) and
     'jacobian_flagged_columns' (parameters whose Jacobian column was
     non-finite in the final iteration: a finite-difference probe produced a
     non-finite residual, or the analytic Jacobian held a non-finite entry).
@@ -295,6 +296,8 @@ def _covariance(jac, cost, m, n):
         return None, False
     scale = cost / (m - n)
     jtj = jac.T @ jac
+    if not np.all(np.isfinite(jtj)):
+        return None, True  # past float range; an SVD of it may never return
     try:
         inv = np.linalg.inv(jtj)
         if not np.all(np.isfinite(inv)):

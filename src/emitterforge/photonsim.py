@@ -123,14 +123,19 @@ def steady_state_rate(model: EmitterModel, power: float) -> float:
     return model.sat_rate / (1.0 + model.sat_power / power)
 
 
-def _detection_waits(rng, n, pump_rate, exit_rate, p_detect, p_shelve_fail, deshelve_rate):
-    """Draw ``n`` waiting times between consecutive detected photons."""
-    cycles = rng.geometric(p_detect, size=n)
-    waits = rng.gamma(cycles, 1.0 / pump_rate) + rng.gamma(cycles, 1.0 / exit_rate)
-    if p_shelve_fail > 0.0:
-        shelved = rng.binomial(cycles - 1, p_shelve_fail)
-        waits = waits + rng.gamma(shelved, 1.0 / deshelve_rate)
-    return waits
+def _arrival_times(draw_waits, duration: float) -> np.ndarray:
+    """Arrival times in [0, duration) of a renewal process started at 0.
+
+    ``draw_waits(left)`` returns a batch of waiting times sized to the time
+    ``left`` to fill; batches are drawn until one runs past ``duration``.
+    """
+    chunks: list[np.ndarray] = []
+    t = 0.0
+    while t < duration:
+        times = t + np.cumsum(draw_waits(duration - t))
+        t = float(times[-1])
+        chunks.append(times[times < duration])
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 def _emitter_times(model: EmitterModel, power: float, duration: float, rng) -> np.ndarray:
@@ -148,17 +153,15 @@ def _emitter_times(model: EmitterModel, power: float, duration: float, rng) -> n
     if model.shelving_rate > 0.0:
         mean_wait += (1.0 - q_emit) / (p_detect * model.deshelving_rate)
 
-    chunks: list[np.ndarray] = []
-    t = 0.0
-    while t < duration:
-        n = int((duration - t) / mean_wait * 1.1) + 64
-        waits = _detection_waits(
-            rng, n, pump_rate, exit_rate, p_detect, p_shelve_fail, model.deshelving_rate
-        )
-        times = t + np.cumsum(waits)
-        t = float(times[-1])
-        chunks.append(times[times < duration])
-    return np.concatenate(chunks) if chunks else np.empty(0)
+    def detection_waits(left):
+        cycles = rng.geometric(p_detect, size=int(left / mean_wait * 1.1) + 64)
+        waits = rng.gamma(cycles, 1.0 / pump_rate) + rng.gamma(cycles, 1.0 / exit_rate)
+        if p_shelve_fail > 0.0:
+            shelved = rng.binomial(cycles - 1, p_shelve_fail)
+            waits = waits + rng.gamma(shelved, 1.0 / model.deshelving_rate)
+        return waits
+
+    return _arrival_times(detection_waits, duration)
 
 
 def simulate_emitter_tags(
@@ -170,8 +173,9 @@ def simulate_emitter_tags(
 ) -> TimeTagStream:
     """Merged detected-photon stream of one or more emitters on channel 0.
 
-    Each emitter gets an independent child RNG stream derived from ``seed``,
-    so results are reproducible and independent of evaluation order.
+    Each emitter gets an independent child generator spawned from
+    ``seed`` (an int, a SeedSequence or a Generator), so results are
+    reproducible and independent of evaluation order.
     """
     if power < 0:
         raise DomainError(f"power must be nonnegative, got {power}")
@@ -179,12 +183,8 @@ def simulate_emitter_tags(
         raise DomainError(f"duration must be nonnegative, got {duration}")
     if isinstance(models, EmitterModel):
         models = [models]
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(len(models)) if models else []
-    times = [
-        _emitter_times(m, power, duration, np.random.default_rng(child))
-        for m, child in zip(models, children)
-    ]
+    children = np.random.default_rng(seed).spawn(len(models))
+    times = [_emitter_times(m, power, duration, rng) for m, rng in zip(models, children)]
     collected = np.concatenate(times) if times else np.empty(0)
     if len(times) > 1:
         # quantizing is monotone, so sorting all emitters' times merges
@@ -206,16 +206,12 @@ def simulate_background_tags(
     if duration < 0:
         raise DomainError(f"duration must be nonnegative, got {duration}")
     rng = np.random.default_rng(seed)
-    times: list[np.ndarray] = []
-    t = 0.0
-    while rate > 0.0 and t < duration:
-        n = int((duration - t) * rate * 1.1) + 64
-        gaps = rng.exponential(1.0 / rate, size=n)
-        chunk = t + np.cumsum(gaps)
-        t = float(chunk[-1])
-        times.append(chunk[chunk < duration])
-    collected = np.concatenate(times) if times else np.empty(0)
-    return TimeTagStream.from_times(collected, 0, resolution, duration)
+
+    def gaps(left):
+        return rng.exponential(1.0 / rate, size=int(left * rate * 1.1) + 64)
+
+    times = _arrival_times(gaps, duration) if rate > 0.0 else np.empty(0)
+    return TimeTagStream.from_times(times, 0, resolution, duration)
 
 
 # below this many unfinished bursts the walk goes on one burst at a time
@@ -291,19 +287,15 @@ def run_detection(
         raise DomainError(f"split_ratio must be in [0, 1], got {split_ratio}")
     rng = np.random.default_rng(seed)
     to_a = rng.random(stream.n_tags) < split_ratio
-    ticks_a = _apply_detector(
-        stream.timestamps[to_a], det_a, stream.duration, stream.resolution, rng
-    )
-    ticks_b = _apply_detector(
-        stream.timestamps[~to_a], det_b, stream.duration, stream.resolution, rng
-    )
-    out_a = TimeTagStream._trusted(
-        stream.resolution, np.zeros(ticks_a.size, np.uint8), ticks_a, stream.duration
-    )
-    out_b = TimeTagStream._trusted(
-        stream.resolution, np.ones(ticks_b.size, np.uint8), ticks_b, stream.duration
-    )
-    return out_a, out_b
+    arms = []
+    for channel, (routed, det) in enumerate(((to_a, det_a), (~to_a, det_b))):
+        ticks = _apply_detector(
+            stream.timestamps[routed], det, stream.duration, stream.resolution, rng
+        )
+        arms.append(TimeTagStream._trusted(
+            stream.resolution, np.full(ticks.size, channel, np.uint8), ticks, stream.duration
+        ))
+    return tuple(arms)
 
 
 def simulate_pulsed_decay(

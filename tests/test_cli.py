@@ -289,6 +289,38 @@ def test_g2_rho_one_equals_raw(single_emitter_file, tmp_path, capsys):
     assert raw.read_bytes() == cor.read_bytes()
 
 
+def test_g2_histogram_past_memory_exit_2(single_emitter_file):
+    # 2,000,000,001 bins of 1 ns need 16 GB per array; the address space is
+    # capped at 2 GiB so the allocation fails at once on any machine
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "from emitterforge.cli import main\n"
+        f"sys.exit(main(['g2', {str(single_emitter_file)!r}, '--window', '1 s']))\n"
+    )
+    src = str(Path(emitterforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("invalid value: 2000000001 bins")
+    assert "Traceback" not in done.stderr
+
+
+def test_g2_fit_past_memory_exit_2(single_emitter_file, monkeypatch, capsys):
+    def fit_out_of_memory(hist):
+        raise MemoryError("Unable to allocate 15.3 MiB")
+
+    monkeypatch.setattr(cli, "fit_g2", fit_out_of_memory)
+    assert main(["g2", str(single_emitter_file)]) == 2
+    assert capsys.readouterr().err == "invalid value: out of memory: Unable to allocate 15.3 MiB\n"
+
+
+def test_g2_rho_past_float_range_exit_2(single_emitter_file, capsys):
+    # rho^2 = 1.6e-308 makes every fit weight 0.0
+    assert main(["g2", str(single_emitter_file), "--rho=1.26e-154"]) == 2
+    assert "out of float range" in capsys.readouterr().err
+
+
 def test_g2_truncated_file_exit_4(single_emitter_file, tmp_path, capsys):
     clipped = tmp_path / "clipped.ttg"
     clipped.write_bytes(single_emitter_file.read_bytes()[:100])
@@ -316,6 +348,8 @@ def test_stats_from_counts_file(tmp_path, capsys):
     assert "fitted_mu=" in out
     line1 = [l for l in out.splitlines() if l.startswith("0,")][0]
     assert float(line1.split(",")[1]) == pytest.approx(0.6)
+    # the block sum of a huge k stops where the Poisson terms underflow
+    assert main(["stats", str(counts), "--k", "1000000000", "--fit-mu"]) == 0
 
 
 def test_stats_from_manifest(small_ini, tmp_path, capsys):
@@ -371,6 +405,12 @@ def test_saturation_bad_dwell_exit_2(saturation_csv, capsys, dwell):
     assert "Traceback" not in err
 
 
+def test_saturation_dwell_past_float_range_exit_5(saturation_csv, capsys):
+    # weights near 1e150 overflow the normal matrix; its SVD never returned
+    assert main(["saturation", str(saturation_csv), "--dwell=1.5e303s"]) == 5
+    assert "flag covariance_singular" in capsys.readouterr().out
+
+
 def test_decay_subcommand(tmp_path, capsys):
     from emitterforge.photonsim import DecayHistogram, write_decay_csv
 
@@ -411,6 +451,9 @@ def test_dw_subcommand(tmp_path, capsys):
     dw_line = [l for l in out.splitlines() if l.startswith("dw ")][0]
     # areas: 1*2 vs 0.25*16 -> DW = 1/3
     assert float(dw_line.split()[1]) == pytest.approx(1.0 / 3.0, abs=0.01)
+    # 5 + 3 * 200 parameters for 600 points: refused before any fit
+    assert main(["dw", str(path), "--psb", "200"]) == 2
+    assert "more than the 600 spectrum points" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -443,6 +486,17 @@ def test_cli_runs_without_scipy(small_ini, tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "sim" / "manifest.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stats", "counts.txt", "--fit-mu", "--k=--"], ["g2", "tags.ttg", "--bin=--"],
+     ["dw", "spectrum.csv", "--psb=--"]],
+)
+def test_double_dash_option_value_exit_2(argv, capsys):
+    # "--" as a value once reached the subcommand as an empty list
+    assert main(argv) == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_bad_subcommand_exit_2(capsys):

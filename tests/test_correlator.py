@@ -186,6 +186,32 @@ def test_correlate_validation():
         correlate(a, mismatched, bin_width=1e-9, window=1e-6)
 
 
+@pytest.mark.parametrize(
+    "bin_width,window,match",
+    [
+        (1e-9, 1e10, r"2\*\*58 bins"),  # more bins than any address space holds
+        (1e-9, 1e300, r"2\*\*58 bins"),
+        (1e296, 1e300, r"2\*\*62 ticks"),  # bin / resolution overflows to inf
+        (-1e296, 1e-6, "below the tick resolution"),
+        (float("nan"), 1e-6, "below the tick resolution"),
+        (1e-9, -1e300, "smaller than the bin width"),
+    ],
+)
+def test_correlate_refuses_bins_and_windows_out_of_range(bin_width, window, match):
+    a, b = _poisson_pair(1e3, 1.0, seed=1)
+    with pytest.raises(DomainError, match=match):
+        correlate(a, b, bin_width=bin_width, window=window)
+
+
+def test_correlate_reach_beyond_the_last_tag_keeps_every_pair():
+    # ten bins of 1e18 ticks put the window's reach past int64; the reach
+    # is clamped to the last tag, which no delay exceeds
+    a = TimeTagStream(1e-12, np.zeros(2, np.uint8), np.array([0, 10], np.int64), 1e-11)
+    b = TimeTagStream(1e-12, np.ones(2, np.uint8), np.array([3, 4], np.int64), 1e-11)
+    hist = correlate(a, b, bin_width=1e6, window=1e7)
+    assert hist.raw.tolist() == [0] * 10 + [4] + [0] * 10
+
+
 # ----------------------------------------------------------------- fit
 
 

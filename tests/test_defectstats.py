@@ -63,6 +63,18 @@ def test_composite_pmf_matches_brute_force_summation():
                 )
 
 
+def test_composite_pmf_large_k_skips_only_underflowed_terms():
+    # past max(e^2 mu, 746) every Poisson term is exactly 0.0, so the block
+    # sum stops there with the same float; a k of 10**9 then costs what 746 do
+    for mu in (0.0, 4.8, 99.9, 300.0):
+        for k in (700, 3000):
+            for n in range(3):
+                full = sum(poisson_pmf(mu, m) for m in range(n * k, n * k + k))
+                assert composite_defect_pmf(mu, k, n) == full
+    assert composite_defect_pmf(4.8, 10**9, 0) == composite_defect_pmf(4.8, 3000, 0)
+    assert composite_defect_pmf(4.8, 10**9, 1) == 0.0
+
+
 def test_composite_pmf_mu48():
     assert composite_defect_pmf(4.8, 3, 1) == pytest.approx(PMF_MU48_K3_N1, rel=1e-12)
 

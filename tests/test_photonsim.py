@@ -72,6 +72,16 @@ def test_zero_emitters_empty_stream():
     assert s.n_tags == 0
 
 
+def test_emitter_tags_accept_a_generator_seed():
+    # like every other sampler: a fresh Generator spawns the same children
+    # as the int it was made from
+    models = [EmitterModel(**TWO_LEVEL), EmitterModel(**THREE_LEVEL), EmitterModel(**TWO_LEVEL)]
+    by_int = simulate_emitter_tags(models, 50e-6, 0.01, 9)
+    by_rng = simulate_emitter_tags(models, 50e-6, 0.01, np.random.default_rng(9))
+    assert by_int.n_tags > 1000
+    assert np.array_equal(by_rng.timestamps, by_int.timestamps)
+
+
 def test_two_level_rate_matches_steady_state():
     m = EmitterModel(**TWO_LEVEL)
     power = 50e-6
