@@ -2,8 +2,12 @@
 
 Everything here is pure computation on measured (or simulated) values;
 batch use over many spots needs no coordination. All fits run through
-:mod:`.fitkit` with internally rescaled parameters so finite-difference
-steps stay well conditioned regardless of the input units.
+:func:`_fit`, a weighted :mod:`.fitkit` fit of a model that returns its
+value with its analytic Jacobian, on internally rescaled parameters so the
+normal equations stay well conditioned regardless of the input units. The
+line scan and the Debye-Waller decomposition share one model, a polynomial
+baseline plus Gaussians (:func:`_peaks`); both decay fits share a sum of
+exponentials plus a constant (:func:`_exponentials`).
 """
 from __future__ import annotations
 
@@ -116,6 +120,46 @@ def count_emitters(rate: float, background: float, i_single: float) -> int:
     return max(0, math.floor(ratio + 0.5))
 
 
+def _fit(model, y, sigma, x0, lower, upper) -> fitkit.FitOutcome:
+    """Weighted least-squares fit of ``model(v) -> (value, jacobian)`` to
+    ``y``; ``sigma`` is per point or one value for all points."""
+    sig = np.broadcast_to(sigma, y.shape)
+    return fitkit.least_squares(
+        fitkit.FitProblem(
+            residual=lambda v: (model(v)[0] - y) / sig,
+            x0=x0,
+            lower=lower,
+            upper=upper,
+            jacobian=lambda v: model(v)[1] / sig[:, None],
+        )
+    )
+
+
+def _peaks(u, n_base: int, v):
+    """Polynomial baseline plus Gaussians at ``u``, with its Jacobian.
+
+    ``v`` holds ``n_base`` baseline coefficients (constant first), then the
+    amplitudes, the centers and the sigmas of the Gaussians, one block each.
+    """
+    amps, cents, sigs = v[n_base:].reshape(3, -1)
+    powers = u[:, None] ** np.arange(n_base)
+    z = (u[:, None] - cents) / sigs
+    g = np.exp(-0.5 * z * z)
+    d_cent = amps * g * z / sigs
+    return powers @ v[:n_base] + g @ amps, np.hstack([powers, g, d_cent, d_cent * z])
+
+
+def _exponentials(t, tau0: float, v):
+    """Sum of exponentials ``a_i e^(-t / (w_i tau0))`` plus a constant, with
+    its Jacobian; ``v`` is (a_1, w_1, ..., a_k, w_k, constant)."""
+    amps, w = v[:-1:2], v[1:-1:2]
+    e = np.exp(-t[:, None] / (w * tau0))
+    jac = np.ones((t.size, v.size))
+    jac[:, :-1:2] = e
+    jac[:, 1:-1:2] = amps * e * t[:, None] / (w * w * tau0)
+    return e @ amps + v[-1], jac
+
+
 def saturation_model(power, sat_rate: float, sat_power: float, bg_slope: float):
     """rate(P) = sat_rate / (1 + sat_power/P) + bg_slope * P (0 at P = 0)."""
     p = np.asarray(power, dtype=float)
@@ -179,21 +223,16 @@ def fit_saturation(
 
     unit = np.array([y_scale, p_scale, y_scale / p_scale])
 
-    def residual(u):
-        return (saturation_model(p, *(u * unit)) - y) / sig
-
-    def jacobian(u):
+    def model(u):
         # chain rule through the scaled parameters: d/du_i = unit_i * d/dtheta_i
-        return saturation_model_gradient(p, *(u * unit)) * unit / sig[:, None]
+        theta = u * unit
+        return saturation_model(p, *theta), saturation_model_gradient(p, *theta) * unit
 
-    outcome = fitkit.least_squares(
-        fitkit.FitProblem(
-            residual=residual,
-            x0=np.array([sat0 / y_scale, p0_0 / p_scale, slope0 * p_scale / y_scale]),
-            lower=np.array([0.0, 1e-9, 0.0]),
-            upper=np.array([1e9, 1e9, 1e9]),
-            jacobian=jacobian,
-        )
+    outcome = _fit(
+        model, y, sig,
+        x0=np.array([sat0 / y_scale, p0_0 / p_scale, slope0 * p_scale / y_scale]),
+        lower=np.array([0.0, 1e-9, 0.0]),
+        upper=np.array([1e9, 1e9, 1e9]),
     )
     cov = None if outcome.covariance is None else outcome.covariance * np.outer(unit, unit)
     result = SaturationFitResult(
@@ -280,65 +319,45 @@ def fit_decay(histogram) -> DecayFitResult:
     tau0 = max(tau0, float(ts[1]))
     y_scale = a0 + c0
 
-    def bi_model(u):
-        return y_scale * (
-            u[0] * np.exp(-ts / (u[1] * tau0)) + u[2] * np.exp(-ts / (u[3] * tau0)) + u[4]
+    def fit(x0):
+        """The outcome, its parameters and covariance in physical units."""
+        odd = np.arange(x0.size) % 2 == 1  # the time constants, in units of tau0
+        unit = np.where(odd, tau0, y_scale)
+        outcome = _fit(
+            lambda v: _exponentials(ts, tau0, v), ys / y_scale, sig / y_scale, x0,
+            lower=np.where(odd, 1e-3, 0.0), upper=np.full(x0.size, 1e6),
         )
+        cov = None if outcome.covariance is None else outcome.covariance * np.outer(unit, unit)
+        return outcome, outcome.params * unit, cov
 
-    outcome = fitkit.least_squares(
-        fitkit.FitProblem(
-            residual=lambda u: (bi_model(u) - ys) / sig,
-            x0=np.array([0.8 * a0 / y_scale, 1.0, 0.2 * a0 / y_scale, 5.0, c0 / y_scale]),
-            lower=np.array([0.0, 1e-3, 0.0, 1e-3, 0.0]),
-            upper=np.array([1e6, 1e6, 1e6, 1e6, 1e6]),
-        )
-    )
-    u = outcome.params
-    taus = np.array([u[1], u[3]]) * tau0
-    amps = np.array([u[0], u[2]]) * y_scale
+    bi_x0 = np.array([0.8 * a0 / y_scale, 1.0, 0.2 * a0 / y_scale, 5.0, c0 / y_scale])
+    outcome, p, cov = fit(bi_x0)
+    amps, taus = p[0:4:2], p[1:4:2]
     ratio = float(np.max(taus) / max(np.min(taus), 1e-300))
     amp_sigma = (
-        np.full(2, np.nan)
-        if outcome.covariance is None
-        else np.sqrt(np.clip(np.diag(outcome.covariance)[[0, 2]], 0.0, None)) * y_scale
+        np.full(2, np.nan) if cov is None else np.sqrt(np.clip(np.diag(cov)[0:4:2], 0.0, None))
     )
     weak = int(np.argmin(amps))
     one_component = amps[weak] < 0.01 * max(np.max(amps), 1e-300) or (
         np.isfinite(amp_sigma[weak]) and amps[weak] < 2.0 * amp_sigma[weak]
     )
     if ratio < 1.5 or one_component:
-        single = fitkit.least_squares(
-            fitkit.FitProblem(
-                residual=lambda v: (
-                    y_scale * (v[0] * np.exp(-ts / (v[1] * tau0)) + v[2]) - ys
-                ) / sig,
-                x0=np.array([a0 / y_scale, 1.0, c0 / y_scale]),
-                lower=np.array([0.0, 1e-3, 0.0]),
-                upper=np.array([1e6, 1e6, 1e6]),
-            )
-        )
-        v = single.params
-        unit = np.array([y_scale, tau0, y_scale])
-        cov = None if single.covariance is None else single.covariance * np.outer(unit, unit)
-        tau = float(v[1]) * tau0
+        single, (amp, tau, baseline), cov = fit(np.array([a0 / y_scale, 1.0, c0 / y_scale]))
         return DecayFitResult(
-            amp_fast=float(v[0]) * y_scale, tau_fast=tau,
-            amp_slow=0.0, tau_slow=tau,
-            baseline=float(v[2]) * y_scale, fit_start=float(t[start]),
+            amp_fast=float(amp), tau_fast=float(tau), amp_slow=0.0, tau_slow=float(tau),
+            baseline=float(baseline), fit_start=float(t[start]),
             covariance=cov, reduced_chi2=single.reduced_chi2,
             converged=single.converged,
             flags={**single.flags, "single_exponential": True},
         )
     fast, slow = (0, 1) if taus[0] <= taus[1] else (1, 0)
-    unit = np.array([y_scale, tau0, y_scale, tau0, y_scale])
-    cov = None if outcome.covariance is None else outcome.covariance * np.outer(unit, unit)
     if cov is not None and fast == 1:  # keep covariance order (Af, tf, As, ts, c)
         perm = [2, 3, 0, 1, 4]
         cov = cov[np.ix_(perm, perm)]
     return DecayFitResult(
         amp_fast=float(amps[fast]), tau_fast=float(taus[fast]),
         amp_slow=float(amps[slow]), tau_slow=float(taus[slow]),
-        baseline=float(u[4]) * y_scale, fit_start=float(t[start]),
+        baseline=float(p[4]), fit_start=float(t[start]),
         covariance=cov, reduced_chi2=outcome.reduced_chi2,
         converged=outcome.converged, flags=dict(outcome.flags),
     )
@@ -421,21 +440,8 @@ def fit_line_scan(position, rate) -> LineScanResult:
     s0s = [widths[i] / math.sqrt(2.0 * math.log(2.0)) / math.sqrt(2.0) for i in seeds]
 
     n_peaks = len(seeds)
-
-    def unpack(u):
-        b = u[0] * y_scale
-        amps = u[1 : 1 + n_peaks] * y_scale
-        cents = x[0] + u[1 + n_peaks : 1 + 2 * n_peaks] * span
-        sigs = u[1 + 2 * n_peaks :] * span
-        return b, amps, cents, sigs
-
-    def model(u):
-        b, amps, cents, sigs = unpack(u)
-        out = np.full(x.shape, b)
-        for a, c, s in zip(amps, cents, sigs):
-            out = out + a * np.exp(-0.5 * ((x - c) / s) ** 2)
-        return out
-
+    # intensities in units of y_scale, positions in scan spans from x[0]
+    xs = (x - x[0]) / span
     x0 = np.concatenate(
         [
             [base0 / y_scale],
@@ -450,10 +456,11 @@ def fit_line_scan(position, rate) -> LineScanResult:
     upper = np.concatenate(
         [[1e6], np.full(n_peaks, 1e6), np.full(n_peaks, 1.1), np.full(n_peaks, 1.0)]
     )
-    outcome = fitkit.least_squares(
-        fitkit.FitProblem(residual=lambda u: model(u) - y, x0=x0, lower=lower, upper=upper)
-    )
-    b, amps, cents, sigs = unpack(outcome.params)
+    # a sigma of 1 / y_scale keeps the residuals in the units of y
+    outcome = _fit(lambda u: _peaks(xs, 1, u), y / y_scale, 1.0 / y_scale, x0, lower, upper)
+    b = outcome.params[0] * y_scale
+    amps, cents, sigs = outcome.params[1:].reshape(3, n_peaks) * [[y_scale], [span], [span]]
+    cents = cents + x[0]
     # components that end up below the seeding threshold, narrower than the
     # sampling step (a spike through one noisy point), or outside the scan
     # are noise, not peaks
@@ -506,10 +513,11 @@ def debye_waller(
 
     ``method='fit'`` (default) decomposes the spectrum into a linear
     baseline, one ZPL Gaussian (center constrained to the nominal ZPL
-    wavelength +- ``zpl_halfwidth``) and ``n_psb`` side-band Gaussians at
-    longer wavelengths; the PSB overlaps the ZPL tail, which is why areas
-    come from the fit. ``method='window'`` is the integration cross-check:
-    baseline from the spectrum edges, ZPL = everything within the window.
+    wavelength +- ``zpl_halfwidth``) and ``n_psb`` side-band Gaussians
+    centered between the ZPL and the red end of the spectrum; the PSB
+    overlaps the ZPL tail, which is why areas come from the fit.
+    ``method='window'`` is the integration cross-check: baseline from the
+    spectrum edges, ZPL = everything within the window.
     The result is exactly invariant under uniform intensity rescaling.
     """
     wl = spectrum.wavelength
@@ -571,60 +579,38 @@ def debye_waller(
         max(float(np.interp(cz, u_wl, yn)) * 0.8, 1e-3) for cz in centers0
     ]
 
-    def unpack(v):
-        b0, b1 = v[0], v[1]
-        az, cz, sz = v[2], v[3], v[4]
-        rest = v[5:].reshape(n_psb, 3)
-        return b0, b1, az, cz, sz, rest
-
-    def model(v):
-        b0, b1, az, cz, sz, rest = unpack(v)
-        out = b0 + b1 * u_wl + az * np.exp(-0.5 * ((u_wl - cz) / sz) ** 2)
-        for a, c, s in rest:
-            out = out + a * np.exp(-0.5 * ((u_wl - c) / s) ** 2)
-        return out
-
+    # baseline (b0, b1), then amplitudes, centers and sigmas, the ZPL first
+    # in each; side-band centers stay on the measured spectrum, where the
+    # data constrain their amplitudes
     x0 = np.concatenate(
-        [
-            [float(np.min(yn)), 0.0, amp_z0, u_zpl, max(u_hw / 2.0, dwl / span)],
-            np.column_stack([amps0, centers0, np.full(n_psb, width0)]).ravel(),
-        ]
+        [[float(np.min(yn)), 0.0, amp_z0], amps0, [u_zpl], centers0,
+         [max(u_hw / 2.0, dwl / span)], np.full(n_psb, width0)]
     )
     lower = np.concatenate(
-        [
-            [0.0, -10.0, 0.0, u_zpl - u_hw, dwl / (4.0 * span)],
-            np.tile([0.0, u_zpl, u_hw / 2.0], n_psb),
-        ]
+        [[0.0, -10.0], np.zeros(n_psb + 1), [u_zpl - u_hw], np.full(n_psb, u_zpl),
+         [dwl / (4.0 * span)], np.full(n_psb, u_hw / 2.0)]
     )
     upper = np.concatenate(
-        [
-            [10.0, 10.0, 10.0, u_zpl + u_hw, u_hw],
-            np.tile([10.0, 1.2, 1.0], n_psb),
-        ]
+        [[10.0, 10.0], np.full(n_psb + 1, 10.0), [u_zpl + u_hw], np.ones(n_psb),
+         [u_hw], np.ones(n_psb)]
     )
-    outcome = fitkit.least_squares(
-        fitkit.FitProblem(residual=lambda v: model(v) - yn, x0=x0, lower=lower, upper=upper)
-    )
-    b0, b1, az, cz, sz, rest = unpack(outcome.params)
-    root_2pi = math.sqrt(2.0 * math.pi)
-    zpl_area_u = az * sz * root_2pi
-    psb_area_u = float(sum(a * s for a, s, in zip(rest[:, 0], rest[:, 2])) * root_2pi)
+    outcome = _fit(lambda v: _peaks(u_wl, 2, v), yn, 1.0, x0, lower, upper)
+    (b0, b1), (amps, cents, sigs) = outcome.params[:2], outcome.params[2:].reshape(3, -1)
+    areas = amps * sigs * math.sqrt(2.0 * math.pi)
+    zpl_area_u = areas[0]
+    psb_area_u = float(np.sum(areas[1:]))
     total = zpl_area_u + psb_area_u
     flags = dict(outcome.flags)
-    resid_noise = float(np.std(model(outcome.params) - yn))
-    if az < 2.0 * resid_noise:
+    resid_noise = float(np.std(_peaks(u_wl, 2, outcome.params)[0] - yn))
+    if amps[0] < 2.0 * resid_noise:
         flags["weak_zpl"] = True
     if total <= 0:
         raise DomainError("fit found no emission components")
     components = [
-        (float(wl[0] + cz * span), float(az * y_scale), float(sz * span),
-         float(zpl_area_u * span * y_scale))
+        (float(wl[0] + c * span), float(a * y_scale), float(s * span),
+         float(area * span * y_scale))
+        for a, c, s, area in zip(amps, cents, sigs, areas)
     ]
-    for a, c, s in rest:
-        components.append(
-            (float(wl[0] + c * span), float(a * y_scale), float(s * span),
-             float(a * s * root_2pi * span * y_scale))
-        )
     return DebyeWallerResult(
         dw=zpl_area_u / total,
         zpl_area=zpl_area_u * span * y_scale,

@@ -178,7 +178,9 @@ def correlate_chunked(
 
     n_bins = 2 * m_bins + 1
     # no delay is longer than the last tag, so clamping the reach to it
-    # drops no pair and keeps a + reach in int64 below 2**62 ticks
+    # drops no pair; a - reach stays in int64, but a + reach can pass
+    # 2**63, so each stop is searched at min(a, last - reach) + reach,
+    # which finds the same B tags because none lies past the last
     last = max(int(a.timestamps[-1]), int(b.timestamps[-1]))
     reach = min(m_bins * bin_ticks + bin_ticks // 2, last)
     try:
@@ -189,12 +191,13 @@ def correlate_chunked(
         for a_part in np.array_split(a.timestamps, n_parts):
             if a_part.size == 0:
                 continue
+            stop = np.minimum(a_part, last - reach) + reach
             b_part = b.timestamps[
                 np.searchsorted(b.timestamps, a_part[0] - reach, side="left") :
-                np.searchsorted(b.timestamps, a_part[-1] + reach, side="right")
+                np.searchsorted(b.timestamps, stop[-1], side="right")
             ]
             lo = np.searchsorted(b_part, a_part - reach, side="left")
-            counts = np.searchsorted(b_part, a_part + reach, side="right") - lo
+            counts = np.searchsorted(b_part, stop, side="right") - lo
             total = int(counts.sum())
             if total == 0:
                 continue

@@ -1,12 +1,13 @@
 """Small weighted nonlinear least-squares engine.
 
 All model fits in this package go through :func:`least_squares`, a
-Levenberg-Marquardt loop with box-bound projection. A problem may supply an
-analytic Jacobian; otherwise one is built by finite differences. Residual
-functions are expected to return *weighted* residuals (already divided by
-the per-point sigma), so the covariance and reduced chi-square come out in
-natural units. Every fit stops on the constants ``MAX_ITERATIONS`` (200),
-``COST_TOL`` (1e-10) and ``GRADIENT_TOL`` (1e-10).
+Levenberg-Marquardt loop with box-bound projection. Every problem supplies
+its analytic Jacobian; :func:`finite_difference_jacobian` is kept as a
+reference to check one against. Residual functions are expected to return
+*weighted* residuals (already divided by the per-point sigma), so the
+covariance and reduced chi-square come out in natural units. Every fit
+stops on the constants ``MAX_ITERATIONS`` (200), ``COST_TOL`` (1e-10) and
+``GRADIENT_TOL`` (1e-10).
 """
 from __future__ import annotations
 
@@ -39,16 +40,16 @@ class FitProblem:
         Initial parameter values.
     lower, upper : array_like or None
         Box bounds; steps are projected back onto the box.
-    jacobian : callable or None
+    jacobian : callable, keyword only
         Maps a parameter vector to the m x n Jacobian of the *weighted*
-        residual. When None, central finite differences are used.
+        residual.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+    jacobian: Callable[[np.ndarray], np.ndarray] = field(kw_only=True)
 
 
 @dataclass
@@ -59,9 +60,8 @@ class FitOutcome:
     it is None when there are no spare degrees of freedom. ``flags`` may
     contain 'covariance_singular' (pseudo-inverse was used, or the
     covariance is None because the normal matrix left float range) and
-    'jacobian_flagged_columns' (parameters whose Jacobian column was
-    non-finite in the final iteration: a finite-difference probe produced a
-    non-finite residual, or the analytic Jacobian held a non-finite entry).
+    'jacobian_flagged_columns' (parameters whose Jacobian column held a
+    non-finite entry in the final iteration; the column is zeroed).
     """
 
     params: np.ndarray
@@ -86,7 +86,8 @@ def finite_difference_jacobian(
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Finite-difference Jacobian of a residual function.
+    """Finite-difference Jacobian of a residual function, the reference
+    that analytic Jacobians are checked against.
 
     The step for parameter ``p`` is ``max(rel_step * |p|, rel_step)``, so a
     parameter sitting at zero still gets a finite probe. Central differences
@@ -94,22 +95,10 @@ def finite_difference_jacobian(
     falling back to a one-sided difference when a probe would leave the
     bounds. A column whose probes give non-finite residuals is zeroed.
     """
-    jac, _ = _jacobian_with_flags(
-        residual, np.asarray(params, dtype=float), rel_step, lower, upper
-    )
-    return jac
-
-
-def _jacobian_with_flags(residual, params, rel_step, lower=None, upper=None, r0=None):
-    """Finite-difference Jacobian and its non-finite columns; ``r0`` is the
-    residual at ``params`` when the caller already holds it."""
-    if r0 is None:
-        r0 = residual(params)
-    r0 = np.atleast_1d(np.asarray(r0, dtype=float))
-    m, n = r0.size, params.size
-    jac = np.zeros((m, n))
-    flagged: list[int] = []
-    for i in range(n):
+    params = np.asarray(params, dtype=float)
+    r0 = np.atleast_1d(np.asarray(residual(params), dtype=float))
+    jac = np.zeros((r0.size, params.size))
+    for i in range(params.size):
         h = max(rel_step * abs(params[i]), rel_step)
         hi_ok = upper is None or params[i] + h <= upper[i]
         lo_ok = lower is None or params[i] - h >= lower[i]
@@ -136,18 +125,14 @@ def _jacobian_with_flags(residual, params, rel_step, lower=None, upper=None, r0=
             probe[i] = lower[i]
             r_minus = np.asarray(residual(probe), dtype=float)
             denom = upper[i] - lower[i] if upper[i] > lower[i] else 1.0
-        if not (np.all(np.isfinite(r_plus)) and np.all(np.isfinite(r_minus))):
-            flagged.append(i)
-            continue
-        jac[:, i] = (r_plus - r_minus) / denom
-    return jac, flagged
+        if np.all(np.isfinite(r_plus)) and np.all(np.isfinite(r_minus)):
+            jac[:, i] = (r_plus - r_minus) / denom
+    return jac
 
 
-def _problem_jacobian(problem, x, r, lower, upper):
-    """The problem's own Jacobian at ``x`` if it has one, else finite
-    differences; non-finite analytic columns are zeroed and flagged."""
-    if problem.jacobian is None:
-        return _jacobian_with_flags(problem.residual, x, 1e-6, lower, upper, r)
+def _problem_jacobian(problem, x, r):
+    """The problem's Jacobian at ``x``; non-finite columns are zeroed and
+    flagged."""
     jac = np.array(problem.jacobian(x), dtype=float, ndmin=2)
     if jac.shape != (r.size, x.size):
         raise DomainError(
@@ -161,10 +146,9 @@ def _problem_jacobian(problem, x, r, lower, upper):
 def least_squares(problem: FitProblem) -> FitOutcome:
     """Minimize the sum of squared residuals with damped Gauss-Newton steps.
 
-    The Jacobian comes from ``problem.jacobian`` when it is set and from
-    central finite differences otherwise. Damping starts at 1e-3 and moves
-    by factors of 10 (up on a rejected step, down on an accepted one).
-    Convergence: relative cost decrease below ``COST_TOL`` (1e-10) or
+    The Jacobian comes from ``problem.jacobian``. Damping starts at 1e-3
+    and moves by factors of 10 (up on a rejected step, down on an accepted
+    one). Convergence: relative cost decrease below ``COST_TOL`` (1e-10) or
     infinity-norm of the gradient below ``GRADIENT_TOL`` (1e-10), within
     ``MAX_ITERATIONS`` (200) accepted steps. Singular normal equations
     get damped retries and, if they persist, a non-converged outcome
@@ -202,7 +186,7 @@ def least_squares(problem: FitProblem) -> FitOutcome:
     iterations = 0
     converged = False
     message = "max iterations reached"
-    jac, flagged = _problem_jacobian(problem, x, r, lower, upper)
+    jac, flagged = _problem_jacobian(problem, x, r)
 
     while iterations < MAX_ITERATIONS:
         grad = jac.T @ r
@@ -266,7 +250,7 @@ def least_squares(problem: FitProblem) -> FitOutcome:
         if rel_decrease > 0.9999:
             lam = min(lam, 1e-12)
         iterations += 1
-        jac, flagged = _problem_jacobian(problem, x, r, lower, upper)
+        jac, flagged = _problem_jacobian(problem, x, r)
         if rel_decrease < COST_TOL:
             converged = True
             message = "relative cost decrease below tolerance"

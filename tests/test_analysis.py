@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from emitterforge import analysis, fitkit
 from emitterforge.analysis import (
     G_CENTER_ZPL,
     W_CENTER_ZPL,
@@ -155,6 +156,23 @@ def test_saturation_gradient_matches_fd():
 # ------------------------------------------------------------------ decay
 
 
+def test_exponentials_jacobian_matches_fd():
+    t = np.linspace(0.0, 5.0, 80)
+    for tau0 in (1.0, 2.5):
+        # one and two terms; then amplitudes and the constant on their
+        # lower bound of 0
+        for v in [(2.0, 0.8, 0.1), (0.0, 1.3, 0.0), (1.5, 0.4, 0.5, 2.0, 0.2),
+                  (0.0, 0.4, 0.7, 2.0, 0.0)]:
+            v = np.array(v)
+            lower = np.where(np.arange(v.size) % 2, 1e-3, 0.0)
+
+            def residual(w):
+                return analysis._exponentials(t, tau0, w)[0]
+
+            jac_fd = finite_difference_jacobian(residual, v, lower=lower, upper=np.full(v.size, 1e6))
+            assert np.allclose(analysis._exponentials(t, tau0, v)[1], jac_fd, rtol=1e-5, atol=1e-6)
+
+
 def _decay_hist(amps, taus, baseline, t_max=600e-9, bin_width=1e-9, peak_bin=5):
     t = np.arange(0.0, t_max, bin_width) + bin_width / 2
     y = np.full(t.size, float(baseline))
@@ -242,6 +260,27 @@ def test_line_scan_fifteen_spot_column():
 # ----------------------------------------------------------- debye-waller
 
 
+@pytest.mark.parametrize("n_base", [1, 2])
+def test_peaks_jacobian_matches_fd(n_base):
+    u = np.linspace(0.0, 1.0, 150)
+    base = [0.1, -0.3][:n_base]
+    lower = np.concatenate([[0.0, -10.0][:n_base], np.zeros(2), np.full(2, -0.1), np.full(2, 0.02)])
+    upper = np.concatenate([[10.0, 10.0][:n_base], np.full(2, 10.0), np.full(2, 1.0), np.ones(2)])
+    # interior points, then an amplitude of 0, a centre on either bound and
+    # a sigma on its lower bound; blocks are amplitudes, centres, sigmas.
+    # A bound makes the difference one-sided, first-order in its step, so
+    # the step is small
+    for peaks in [(1.0, 0.5, 0.3, 0.7, 0.05, 0.1), (2.0, 0.8, 0.45, 0.5, 0.2, 0.04),
+                  (0.0, 0.5, 0.3, 1.0, 0.05, 0.1), (1.0, 0.5, -0.1, 0.6, 0.02, 0.3)]:
+        v = np.array(base + list(peaks))
+
+        def residual(w):
+            return analysis._peaks(u, n_base, w)[0]
+
+        jac_fd = finite_difference_jacobian(residual, v, 1e-8, lower, upper)
+        assert np.allclose(analysis._peaks(u, n_base, v)[1], jac_fd, rtol=1e-5, atol=1e-6)
+
+
 def _spectrum(zpl_amp, zpl_sigma, psb_amp, psb_sigma, baseline=0.0):
     wl = np.linspace(1.255e-6, 1.40e-6, 800)
     y = (
@@ -259,6 +298,47 @@ def test_dw_areas_one_to_four():
     res = debye_waller(s, zpl_halfwidth=6e-9)
     assert res.converged
     assert res.dw == pytest.approx(0.20, abs=0.01)
+
+
+def test_dw_components_lie_on_the_spectrum():
+    # a component centred past the red end has an amplitude the data do
+    # not constrain, yet its area would count in the side band
+    s = _spectrum(zpl_amp=1.0, zpl_sigma=2e-9, psb_amp=0.5, psb_sigma=16e-9)
+    res = debye_waller(s, zpl_halfwidth=6e-9)
+    centers = [c for c, _, _, _ in res.components]
+    assert all(s.wavelength[0] <= c <= s.wavelength[-1] for c in centers)
+
+
+def test_dw_model_evaluations_per_iteration_do_not_grow_with_n_psb(monkeypatch):
+    # each trial point and each Jacobian of the fit costs one model
+    # evaluation, however many side-band components there are
+    peaks = analysis._peaks
+    calls = []
+    monkeypatch.setattr(analysis, "_peaks", lambda *args: calls.append(1) or peaks(*args))
+    least_squares = fitkit.least_squares
+    costs = set()
+
+    def counted(kind, fn):
+        def evaluate(v):
+            before = len(calls)
+            out = fn(v)
+            costs.add((kind, len(calls) - before))
+            return out
+        return evaluate
+
+    def counting_least_squares(problem):
+        problem.residual = counted("residual", problem.residual)
+        problem.jacobian = counted("jacobian", problem.jacobian)
+        return least_squares(problem)
+
+    monkeypatch.setattr(fitkit, "least_squares", counting_least_squares)
+    s = _spectrum(1.0, 2e-9, 0.5, 16e-9)
+    per_n_psb = []
+    for n_psb in (2, 20):
+        costs.clear()
+        debye_waller(s, zpl_halfwidth=6e-9, n_psb=n_psb)
+        per_n_psb.append(sorted(costs))
+    assert per_n_psb[0] == per_n_psb[1] == [("jacobian", 1), ("residual", 1)]
 
 
 def test_dw_thirty_two_percent():

@@ -327,7 +327,9 @@ def test_fit_g2_analytic_matches_finite_difference_path(n, monkeypatch):
     outcomes = []
 
     def finite_difference_path(problem):
-        problem.jacobian = None
+        problem.jacobian = lambda u: fitkit.finite_difference_jacobian(
+            problem.residual, u, lower=problem.lower, upper=problem.upper
+        )
         outcomes.append(least_squares(problem))
         return outcomes[-1]
 

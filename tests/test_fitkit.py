@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from emitterforge import fitkit
 from emitterforge.errors import DomainError
 from emitterforge.fitkit import (
     FitProblem,
@@ -18,7 +17,7 @@ def test_linear_problem_solved_in_one_step():
     truth = np.array([2.0, -1.0, 0.5])
     y = A @ truth
 
-    out = least_squares(FitProblem(lambda p: A @ p - y, x0=np.zeros(3)))
+    out = least_squares(FitProblem(lambda p: A @ p - y, x0=np.zeros(3), jacobian=lambda p: A))
     assert out.converged
     assert out.iterations <= 3
     assert out.params == pytest.approx(truth, abs=1e-8)
@@ -34,6 +33,10 @@ def test_exponential_round_trip_with_covariance():
     def model(p):
         return p[0] * np.exp(-t / p[1]) + p[2]
 
+    def jacobian(p):
+        e = np.exp(-t / p[1])
+        return np.stack([e, p[0] * t * e / p[1] ** 2, np.ones_like(t)], axis=1) / sigma
+
     y = truth[0] * np.exp(-t / truth[1]) + truth[2] + rng.normal(0.0, sigma, t.size)
     out = least_squares(
         FitProblem(
@@ -41,6 +44,7 @@ def test_exponential_round_trip_with_covariance():
             x0=np.array([1.0, 1.0, 0.0]),
             lower=np.array([0.0, 1e-6, -10.0]),
             upper=np.array([100.0, 100.0, 10.0]),
+            jacobian=jacobian,
         )
     )
     assert out.converged
@@ -58,6 +62,7 @@ def test_bounds_are_respected():
             x0=np.array([5.0]),
             lower=np.array([0.0]),
             upper=np.array([10.0]),
+            jacobian=lambda p: np.array([[1.0], [0.1]]),
         )
     )
     assert out.converged
@@ -109,11 +114,18 @@ def test_fd_jacobian_secant_across_thin_box():
 
 
 def test_nonfinite_column_flagged_not_fatal():
+    # the second residual is a step at p[1] = 1: its slope there is infinite
     def residual(p):
         bad = np.inf if p[1] != 1.0 else 0.0
         return np.array([p[0] - 2.0, bad])
 
-    out = least_squares(FitProblem(residual, x0=np.array([0.0, 1.0])))
+    out = least_squares(
+        FitProblem(
+            residual, x0=np.array([0.0, 1.0]),
+            jacobian=lambda p: np.array([[1.0, 0.0], [0.0, np.inf]]),
+        )
+    )
+    assert out.params[0] == pytest.approx(2.0)
     assert "jacobian_flagged_columns" in out.flags
     assert 1 in out.flags["jacobian_flagged_columns"]
 
@@ -134,6 +146,7 @@ def test_optimum_on_bound_still_converges_with_covariance():
             x0=np.array([1.0, 1.0]),
             lower=np.array([0.0, -np.inf]),
             upper=np.array([np.inf, np.inf]),
+            jacobian=lambda p: np.column_stack([np.ones_like(t), t]),
         )
     )
     assert out.converged
@@ -142,7 +155,12 @@ def test_optimum_on_bound_still_converges_with_covariance():
 
 
 def test_no_degrees_of_freedom_gives_none_covariance():
-    out = least_squares(FitProblem(lambda p: np.array([p[0] - 1.0]), x0=np.array([0.0])))
+    out = least_squares(
+        FitProblem(
+            lambda p: np.array([p[0] - 1.0]), x0=np.array([0.0]),
+            jacobian=lambda p: np.array([[1.0]]),
+        )
+    )
     assert out.converged
     assert out.covariance is None
     assert np.isnan(out.param_sigma()).all()
@@ -164,6 +182,7 @@ def _exp_problem():
         x0=np.array([1.0, 1.0, 0.0]),
         lower=np.array([0.0, 1e-6, -10.0]),
         upper=np.array([100.0, 100.0, 10.0]),
+        jacobian=jacobian,
     ), jacobian
 
 
@@ -175,7 +194,12 @@ def test_analytic_jacobian_matches_finite_difference_fit():
         calls.append(1)
         return problem.residual(p)
 
-    fd = least_squares(FitProblem(counted, problem.x0, problem.lower, problem.upper))
+    def fd_jacobian(p):
+        return finite_difference_jacobian(counted, p, lower=problem.lower, upper=problem.upper)
+
+    fd = least_squares(
+        FitProblem(counted, problem.x0, problem.lower, problem.upper, jacobian=fd_jacobian)
+    )
     fd_calls = len(calls)
     calls.clear()
     an = least_squares(
@@ -208,40 +232,3 @@ def test_analytic_jacobian_wrong_shape_is_domain_error():
     problem.jacobian = lambda p: jacobian(p).T
     with pytest.raises(DomainError, match="shape"):
         least_squares(problem)
-
-
-def test_finite_difference_jacobian_reuses_current_residual(monkeypatch):
-    # two-parameter exponential decay: the finite-difference Jacobian takes
-    # the residual at the current point from least_squares, which holds it
-    t = np.linspace(0.0, 4.0, 50)
-    y = 2.0 * np.exp(-t / 0.8) + np.random.default_rng(5).normal(0.0, 0.01, t.size)
-    calls = []
-
-    def residual(p):
-        calls.append(1)
-        return (p[0] * np.exp(-t / p[1]) - y) / 0.01
-
-    problem = FitProblem(
-        residual, x0=np.array([1.0, 1.0]),
-        lower=np.array([0.0, 1e-6]), upper=np.array([100.0, 100.0]),
-    )
-    reused = least_squares(problem)
-    reused_calls = len(calls)
-
-    # the same fit with every Jacobian evaluating its own base residual
-    own_base = fitkit._jacobian_with_flags
-    monkeypatch.setattr(
-        fitkit, "_jacobian_with_flags",
-        lambda residual, params, rel_step, lower, upper, r0: own_base(
-            residual, params, rel_step, lower, upper
-        ),
-    )
-    calls.clear()
-    recomputed = least_squares(problem)
-
-    assert reused.converged
-    n_jacobians = reused.iterations + 1  # the initial point and each accepted step
-    assert len(calls) - reused_calls == n_jacobians
-    assert np.array_equal(reused.params, recomputed.params)
-    assert reused.iterations == recomputed.iterations
-    assert reused.cost == recomputed.cost

@@ -265,7 +265,9 @@ def brute_force_counts(a_ticks, b_ticks, bin_ticks: int, m_bins: int) -> list[in
 def correlation_cases(draw):
     """Small streams whose delays often sit exactly on a bin edge
     (k + 1/2 bin widths, an integer tick count when ``bin_ticks`` is
-    even), one tick either side of it, or on the window's outer edge."""
+    even), one tick either side of it, or on the window's outer edge.
+    Half the cases are shifted so the last tag sits at 2**63 - 1 ticks,
+    where a tag plus the window's reach passes int64."""
     bin_ticks = draw(st.integers(1, 12))
     m_bins = draw(st.integers(1, 6))
     a_ticks = draw(st.lists(st.integers(0, 200), min_size=1, max_size=12))
@@ -282,7 +284,10 @@ def correlation_cases(draw):
     )
     b_ticks = [max(t, 0) for t in b_ticks]
     n_chunks = draw(st.integers(1, 8))
-    return sorted(a_ticks), sorted(b_ticks), bin_ticks, m_bins, n_chunks
+    offset = draw(st.sampled_from([0, 2**63 - 1 - max(a_ticks + b_ticks)]))
+    a_ticks = sorted(t + offset for t in a_ticks)
+    b_ticks = sorted(t + offset for t in b_ticks)
+    return a_ticks, b_ticks, bin_ticks, m_bins, n_chunks
 
 
 @settings(deadline=None, max_examples=300)
