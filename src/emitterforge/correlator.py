@@ -147,7 +147,8 @@ def correlate_chunked(
     out of core.
 
     A histogram, or a set of pairs, too large for the available memory
-    raises :class:`DomainError` naming the bin count.
+    raises :class:`DomainError` naming the bin count, and so do delays
+    whose span, plus about 1.5 bins, passes the int64 tick range.
     """
     if n_chunks < 1:
         raise DomainError(f"n_chunks must be at least 1, got {n_chunks}")
@@ -177,39 +178,51 @@ def correlate_chunked(
         raise DomainError("streams have zero duration")
 
     n_bins = 2 * m_bins + 1
-    # no delay is longer than the last tag, so clamping the reach to it
-    # drops no pair; a - reach stays in int64, but a + reach can pass
-    # 2**63, so each stop is searched at min(a, last - reach) + reach,
-    # which finds the same B tags because none lies past the last
-    last = max(int(a.timestamps[-1]), int(b.timestamps[-1]))
-    reach = min(m_bins * bin_ticks + bin_ticks // 2, last)
+    # pairs reach out to the window's outer bin edge, but no delay is
+    # longer than the tags allow, so clamping each side's reach to that
+    # drops no pair; a stop is searched at min(a, last_b - ahead) + ahead,
+    # which finds the same B tags as a + ahead without passing 2**63
+    last_b = int(b.timestamps[-1])
+    outer = m_bins * bin_ticks + bin_ticks // 2
+    ahead = min(outer, max(last_b - int(a.timestamps[0]), 0))
+    behind = min(outer, max(int(a.timestamps[-1]) - int(b.timestamps[0]), 0))
+    # d + shift > 0 for every delay d >= -behind; floor((d + shift) / b)
+    # is then round-half-up of d / b, offset by c bins
+    c = behind // bin_ticks + 1
+    shift = c * bin_ticks + bin_ticks // 2
+    if ahead + shift >= 2**63:
+        raise DomainError(
+            f"delays from -{behind} to {ahead} ticks in bins of {bin_ticks} ticks"
+            " pass the correlator's int64 limit of 2**63 ticks"
+        )
     try:
         raw = np.zeros(n_bins, dtype=np.int64)
-        two_b = 2 * bin_ticks
         # at most _A_CHUNK starts per part bound the pair arrays' memory
         n_parts = max(n_chunks, -(-a.n_tags // _A_CHUNK))
         for a_part in np.array_split(a.timestamps, n_parts):
             if a_part.size == 0:
                 continue
-            stop = np.minimum(a_part, last - reach) + reach
+            stop = np.minimum(a_part, last_b - ahead) + ahead
             b_part = b.timestamps[
-                np.searchsorted(b.timestamps, a_part[0] - reach, side="left") :
+                np.searchsorted(b.timestamps, a_part[0] - behind, side="left") :
                 np.searchsorted(b.timestamps, stop[-1], side="right")
             ]
-            lo = np.searchsorted(b_part, a_part - reach, side="left")
+            lo = np.searchsorted(b_part, a_part - behind, side="left")
             counts = np.searchsorted(b_part, stop, side="right") - lo
             total = int(counts.sum())
             if total == 0:
                 continue
             # every (start, stop) pair in reach: the stops of start i are
             # b_part[lo[i] : lo[i] + counts[i]]
-            starts = np.repeat(np.arange(a_part.size), counts)
-            first = np.concatenate(([0], np.cumsum(counts[:-1])))
-            stops = np.arange(total) - np.repeat(first, counts) + np.repeat(lo, counts)
-            d = b_part[stops] - a_part[starts]
-            k = np.sign(d) * ((2 * np.abs(d) + bin_ticks) // two_b)
-            k = k[np.abs(k) <= m_bins]
-            raw += np.bincount(k + m_bins, minlength=n_bins)
+            stops = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            num = b_part[stops] - np.repeat(a_part - shift, counts)
+            if bin_ticks % 2 == 0:
+                num -= num < shift  # a tie below zero rounds away from it
+            # bins c - m_bins .. c + m_bins are -m_bins .. m_bins; the ones
+            # past them hold ties on the outer edges
+            held = np.bincount(num // bin_ticks)[max(c - m_bins, 0) : c + m_bins + 1]
+            start = max(m_bins - c, 0)
+            raw[start : start + held.size] += held
 
         coverage = _bin_coverage(bin_ticks, m_bins)
         rate_a = a.n_tags / total_time

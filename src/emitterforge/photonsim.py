@@ -256,7 +256,7 @@ def _dead_time_filter(ticks: np.ndarray, dead_ticks: int) -> np.ndarray:
 
 def _apply_detector(ticks, det: DetectorModel, duration, resolution, rng):
     if det.efficiency < 1.0:
-        ticks = ticks[rng.random(ticks.size) < det.efficiency]
+        ticks = ticks.compress(rng.random(ticks.size) < det.efficiency)
     if det.jitter_sigma > 0.0 and ticks.size:
         times = ticks * resolution + rng.normal(0.0, det.jitter_sigma, size=ticks.size)
         times = times[(times >= 0.0) & (times < duration)]
@@ -290,7 +290,7 @@ def run_detection(
     arms = []
     for channel, (routed, det) in enumerate(((to_a, det_a), (~to_a, det_b))):
         ticks = _apply_detector(
-            stream.timestamps[routed], det, stream.duration, stream.resolution, rng
+            stream.timestamps.compress(routed), det, stream.duration, stream.resolution, rng
         )
         arms.append(TimeTagStream._trusted(
             stream.resolution, np.full(ticks.size, channel, np.uint8), ticks, stream.duration

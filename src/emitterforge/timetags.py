@@ -105,14 +105,14 @@ class TimeTagStream:
         return int(self.timestamps.size)
 
     def channel_list(self) -> list[int]:
-        return sorted(int(c) for c in np.unique(self.channels))
+        return np.flatnonzero(np.bincount(self.channels)).tolist()
 
     def select(self, channel: int) -> "TimeTagStream":
         """Sub-stream containing only one channel (same resolution/duration)."""
-        mask = self.channels == channel
-        return TimeTagStream._trusted(
-            self.resolution, self.channels[mask], self.timestamps[mask], self.duration
-        )
+        ts = self.timestamps.compress(self.channels == channel)
+        # a channel outside uint8 matches no tag, and np.full would refuse it
+        channels = np.full(ts.size, channel if ts.size else 0, np.uint8)
+        return TimeTagStream._trusted(self.resolution, channels, ts, self.duration)
 
     def times(self, channel: int | None = None) -> np.ndarray:
         """Tag times in seconds, optionally restricted to one channel."""

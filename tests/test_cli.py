@@ -20,7 +20,7 @@ from emitterforge.photonsim import (
     run_detection,
     simulate_emitter_tags,
 )
-from emitterforge.timetags import merge_streams, read_timetags, write_timetags
+from emitterforge.timetags import TimeTagStream, merge_streams, read_timetags, write_timetags
 
 BASE_INI = """\
 [pattern]
@@ -337,6 +337,16 @@ def test_g2_single_channel_exit_2(tmp_path, capsys):
     em = EmitterModel(lifetime=50e-9, sat_power=150e-6, sat_rate=2e6)
     write_timetags(simulate_emitter_tags(em, 150e-6, 0.05, seed=1), p)
     assert main(["g2", str(p)]) == 2
+
+
+def test_g2_delays_past_int64_exit_2(tmp_path, capsys):
+    # tags 2**62 ticks either side of a stop: the binned delays of 1e18-tick
+    # bins do not fit in int64, and the refusal names that limit
+    p = tmp_path / "far.ttg"
+    ticks = np.array([0, 2**62, 2**63 - 2], np.int64)
+    write_timetags(TimeTagStream(1e-12, np.array([0, 1, 0], np.uint8), ticks, 1.0), p)
+    assert main(["g2", str(p), "--bin", "1e6 s", "--window", "1e7 s"]) == 2
+    assert "int64 limit of 2**63 ticks" in capsys.readouterr().err
 
 
 def test_stats_from_counts_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Golden byte-identity of ``emitterforge simulate``.
+"""Golden byte-identity of ``emitterforge simulate``, ``emitterforge g2``
+and ``run_detection``.
 
 A small dose-ladder run with every detector imperfection switched on
 (background, efficiency, jitter, dead time, dark counts) and sites holding
@@ -31,6 +32,12 @@ import numpy as np
 
 from emitterforge import cli
 from emitterforge.cli import main
+from emitterforge.photonsim import (
+    DetectorModel,
+    EmitterModel,
+    run_detection,
+    simulate_emitter_tags,
+)
 
 # the numpy version the digests below were taken with
 GOLDEN_NUMPY = "2.4.6"
@@ -152,3 +159,54 @@ def test_serial_and_parallel_runs_write_identical_bytes(tmp_path, monkeypatch):
         runs[workers] = _digests(tmp_path, ini_text, name=f"workers{workers}")
     assert len(runs[1]) == 49
     assert runs[1] == runs[3]
+
+
+# ``emitterforge g2`` on the single-emitter site F1 of the golden run made
+# ten times longer, so the site shows its dip: the histogram CSV and the
+# printed fit
+G2_INI = GOLDEN_INI.replace("0.004 s", "0.04 s")
+G2_SITE = "F1.ttg"
+G2_ARGS = ["--bin", "2 ns", "--window", "300 ns", "--out", "g2.csv"]
+G2_SHA256 = {
+    "histogram": "e8562ccbc8e8766130bcedab6517e1958c6b90f1fb949530505ab18cf764592b",
+    "stdout": "7ddb6420ba89bd73b5812ef6ebf26f57ea2e303eb36f8ed01870c441227d59ec",
+}
+
+
+def test_g2_on_a_golden_tag_file_matches_golden_digests(tmp_path, monkeypatch, capsys):
+    ini = tmp_path / "golden.ini"
+    ini.write_text(G2_INI)
+    assert main(["simulate", str(ini), str(tmp_path / "run")]) == 0
+    monkeypatch.chdir(tmp_path)  # the printed histogram path is relative
+    capsys.readouterr()
+    assert main(["g2", str(tmp_path / "run" / G2_SITE), *G2_ARGS]) == 0
+    digests = {
+        "histogram": hashlib.sha256((tmp_path / "g2.csv").read_bytes()).hexdigest(),
+        "stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+    }
+    assert digests == G2_SHA256, (
+        f"g2 output changed (digests taken with numpy {GOLDEN_NUMPY},"
+        f" running numpy {np.__version__})"
+    )
+
+
+# ``run_detection`` through the API with efficiency below 1 on both arms:
+# ``simulate`` folds the efficiency into the source rates, so only this
+# digest pins the efficiency thinning
+DETECTION_SHA256 = "1882076fcac3b594f08e5f852fef5d700d252cd1ba1f3289d871220b8b56598f"
+
+
+def test_run_detection_with_efficiency_thinning_matches_golden_digest():
+    model = EmitterModel(lifetime=50e-9, sat_power=150e-6, sat_rate=2e6)
+    stream = simulate_emitter_tags([model, model], 300e-6, 0.01, seed=31)
+    det_a = DetectorModel(efficiency=0.6, jitter_sigma=80e-12, dead_time=300e-9, dark_rate=2e3)
+    det_b = DetectorModel(efficiency=0.35)
+    arms = run_detection(stream, 0.45, det_a, det_b, seed=32)
+    digest = hashlib.sha256()
+    for arm in arms:
+        digest.update(arm.channels.tobytes())
+        digest.update(arm.timestamps.tobytes())
+    assert digest.hexdigest() == DETECTION_SHA256, (
+        f"detected tags changed (digest taken with numpy {GOLDEN_NUMPY},"
+        f" running numpy {np.__version__})"
+    )

@@ -267,10 +267,22 @@ def correlation_cases(draw):
     (k + 1/2 bin widths, an integer tick count when ``bin_ticks`` is
     even), one tick either side of it, or on the window's outer edge.
     Half the cases are shifted so the last tag sits at 2**63 - 1 ticks,
-    where a tag plus the window's reach passes int64."""
-    bin_ticks = draw(st.integers(1, 12))
+    where a tag plus the window's reach passes int64. A quarter of them
+    have bins of 2**59 to 2**61 ticks and tags spread over up to 1.5 * 2**62
+    ticks, so a delay or twice a delay passes int64; their bins are
+    multiples of 2**11 on a tick of 2**-40 s, so the bin width converts
+    to seconds and back to ticks exactly."""
+    huge = draw(st.integers(0, 3)) == 0
+    if huge:
+        resolution = 2.0**-40
+        bin_ticks = draw(st.integers(2**48, 2**50)) << 11
+    else:
+        resolution = 1e-12
+        bin_ticks = draw(st.integers(1, 12))
     m_bins = draw(st.integers(1, 6))
-    a_ticks = draw(st.lists(st.integers(0, 200), min_size=1, max_size=12))
+    a_ticks = draw(
+        st.lists(st.integers(0, 3 * 2**61 if huge else 200), min_size=1, max_size=12)
+    )
     half = bin_ticks // 2
     edges = [
         sign * (k * bin_ticks + half) + nudge
@@ -280,26 +292,53 @@ def correlation_cases(draw):
     ]
     near = st.tuples(st.sampled_from(a_ticks), st.sampled_from(edges)).map(sum)
     b_ticks = draw(
-        st.lists(st.one_of(near, near, st.integers(0, 200)), min_size=1, max_size=25)
+        st.lists(
+            st.one_of(near, near, st.integers(0, 3 * 2**61 if huge else 200)),
+            min_size=1,
+            max_size=25,
+        )
     )
-    b_ticks = [max(t, 0) for t in b_ticks]
+    b_ticks = [min(max(t, 0), 2**63 - 1) for t in b_ticks]
     n_chunks = draw(st.integers(1, 8))
     offset = draw(st.sampled_from([0, 2**63 - 1 - max(a_ticks + b_ticks)]))
     a_ticks = sorted(t + offset for t in a_ticks)
     b_ticks = sorted(t + offset for t in b_ticks)
-    return a_ticks, b_ticks, bin_ticks, m_bins, n_chunks
+    return a_ticks, b_ticks, bin_ticks, m_bins, n_chunks, resolution
+
+
+def past_int64(a_ticks, b_ticks, bin_ticks, m_bins) -> bool:
+    """Whether the delays within the window's outer edge, stretched by 1.5
+    bins, span 2**63 ticks or more: the only cases the correlator may refuse."""
+    outer = m_bins * bin_ticks + bin_ticks // 2
+    ahead = min(outer, max(b_ticks[-1] - a_ticks[0], 0))
+    behind = min(outer, max(a_ticks[-1] - b_ticks[0], 0))
+    return ahead + behind + 3 * bin_ticks // 2 >= 2**63
 
 
 @settings(deadline=None, max_examples=300)
 @given(case=correlation_cases())
 def test_correlate_matches_brute_force_pair_count(case):
-    a_ticks, b_ticks, bin_ticks, m_bins, n_chunks = case
-    duration = (max(a_ticks + b_ticks) + 1) * 1e-12
-    a = TimeTagStream(1e-12, np.zeros(len(a_ticks), np.uint8), a_ticks, duration)
-    b = TimeTagStream(1e-12, np.ones(len(b_ticks), np.uint8), b_ticks, duration)
-    bin_width, window = bin_ticks * 1e-12, m_bins * bin_ticks * 1e-12
+    a_ticks, b_ticks, bin_ticks, m_bins, n_chunks, res = case
+    duration = (max(a_ticks + b_ticks) + 1) * res
+    a = TimeTagStream(res, np.zeros(len(a_ticks), np.uint8), a_ticks, duration)
+    b = TimeTagStream(res, np.ones(len(b_ticks), np.uint8), b_ticks, duration)
+    bin_width, window = bin_ticks * res, m_bins * bin_ticks * res
     expected = brute_force_counts(a_ticks, b_ticks, bin_ticks, m_bins)
-    hist = correlate(a, b, bin_width=bin_width, window=window)
+    try:
+        hist = correlate(a, b, bin_width=bin_width, window=window)
+    except DomainError as err:
+        assert "int64 limit of 2**63 ticks" in str(err)
+        assert past_int64(a_ticks, b_ticks, bin_ticks, m_bins)
+        return
     assert hist.raw.tolist() == expected
     chunked = correlate_chunked(a, b, bin_width=bin_width, window=window, n_chunks=n_chunks)
     assert chunked.raw.tolist() == expected
+
+
+def test_correlate_bins_a_delay_past_2_62_ticks_on_its_own_side():
+    # 2 * (2**62 + 5) wraps in int64; the delay is 4.6 bins of 1e18 ticks
+    a = TimeTagStream(1e-12, np.zeros(1, np.uint8), [0], 5e6)
+    b = TimeTagStream(1e-12, np.ones(1, np.uint8), [2**62 + 5], 5e6)
+    hist = correlate(a, b, bin_width=1e6, window=1e7)
+    assert hist.raw.tolist() == brute_force_counts([0], [2**62 + 5], 10**18, 10)
+    assert hist.raw[10 + 5] == 1

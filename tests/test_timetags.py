@@ -56,6 +56,23 @@ def test_select_and_times_and_rate():
     assert empty.rate() == 0.0
 
 
+@pytest.mark.parametrize("channel", [5, 300, -1])
+def test_select_absent_or_out_of_range_channel_is_empty(channel):
+    s = _stream([10, 20, 30], channels=[0, 255, 0], duration=2.0)
+    picked = s.select(channel)
+    assert picked.n_tags == 0
+    assert picked.channels.dtype == np.uint8 and picked.timestamps.dtype == np.int64
+    assert picked.resolution == s.resolution and picked.duration == 2.0
+
+
+def test_channel_list():
+    assert _stream([], duration=0.0).channel_list() == []
+    s = _stream([1, 2, 3, 4], channels=[255, 0, 255, 0])
+    assert s.channel_list() == [0, 255]
+    assert all(type(c) is int for c in s.channel_list())
+    assert s.select(255).channels.tolist() == [255, 255]
+
+
 def test_merge_orders_and_breaks_ties_by_channel():
     a = _stream([5, 7], channels=[1, 1], duration=1.0)
     b = _stream([5, 6], channels=[0, 0], duration=2.0)
