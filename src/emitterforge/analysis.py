@@ -638,8 +638,7 @@ def write_spot_table(spots: list[SpotMeasurement], estimates, path) -> None:
         ["" if s.n_emitters_g2 is None else s.n_emitters_g2 for s in spots],
         ["" if est is None else est for est in estimates],
     )
-    with open(path, "w") as fh:
-        write_table(fh, _SPOT_HEADER, columns, "%s,%.17g,%.17g,%s,%s")
+    write_table(path, _SPOT_HEADER, columns, "%s,%.17g,%.17g,%s,%s")
 
 
 def read_spot_table(path):
@@ -653,8 +652,7 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     """Spectrum CSV: wavelength_nm,intensity with the ZPL in a comment."""
     columns = (spectrum.wavelength * 1e9, spectrum.intensity)
     meta = {"zpl_nm": spectrum.zpl_wavelength * 1e9}
-    with open(path, "w") as fh:
-        write_table(fh, "wavelength_nm,intensity", columns, "%.17g,%.17g", meta)
+    write_table(path, "wavelength_nm,intensity", columns, "%.17g,%.17g", meta)
 
 
 def read_spectrum_csv(path, zpl_wavelength: float | None = None) -> Spectrum:
@@ -676,8 +674,7 @@ def write_saturation_csv(power, rate, path, sigma=None) -> None:
         header, fmt = header + ",sigma_cps", fmt + ",%.17g"
     if any(c.shape != columns[0].shape for c in columns):
         raise DomainError("power, rate and sigma must have equal length")
-    with open(path, "w") as fh:
-        write_table(fh, header, columns, fmt)
+    write_table(path, header, columns, fmt)
 
 
 def read_saturation_csv(path):

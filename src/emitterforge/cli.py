@@ -80,6 +80,19 @@ def _resolve_seed(flag_seed: int | None, cfg: RunConfig | None) -> int:
     )
 
 
+def _report(lines, flags, converged: bool, failure: str) -> int:
+    """Print a fit's result lines and one ``flag`` line per flag; a fit that
+    did not converge prints ``failure`` to stderr and exits 5."""
+    for line in lines:
+        print(line)
+    for flag in flags:
+        print(f"flag {flag}")
+    if not converged:
+        print(failure, file=sys.stderr)
+        return 5
+    return 0
+
+
 def _cmd_pattern(args) -> int:
     cfg = load_config(args.config)
     pattern = build_pattern(**cfg.pattern_args())
@@ -108,8 +121,9 @@ def _cmd_simulate(args) -> int:
     rows = _map_sites(job, sites)
 
     meta = {"config_hash": cfg.config_hash, "seed": seed}
-    with open(out_dir / "manifest.csv", "w") as fh:
-        write_table(fh, MANIFEST_HEADER, zip(*rows), "%s,%d,%d,%.17g,%.17g", meta)
+    write_table(
+        out_dir / "manifest.csv", MANIFEST_HEADER, zip(*rows), "%s,%d,%d,%.17g,%.17g", meta
+    )
     print(f"simulated {len(rows)} sites into {out_dir}")
     return 0
 
@@ -239,24 +253,14 @@ def _cmd_g2(args) -> int:
     out = args.out or str(Path(args.tagfile).with_suffix("")) + "_g2.csv"
     write_histogram_csv(hist, out)
 
-    sig = fit.param_sigma
-    print(f"histogram {out}")
-    print(f"g2_zero {fit.g2_zero:.6g} {fit.g2_zero_sigma:.3g}")
-    print(f"n_emitters {fit.n_emitters:.6g} {sig[0]:.3g}")
-    print(f"a {fit.a:.6g} {sig[1]:.3g}")
-    print(f"tau1 {fit.tau1:.6g} {sig[2]:.3g}")
-    print(f"tau2 {fit.tau2:.6g} {sig[3]:.3g}")
-    print(f"reduced_chi2 {fit.reduced_chi2:.6g}")
+    named = zip(("n_emitters", "a", "tau1", "tau2"), fit.param_sigma)
+    lines = [f"histogram {out}", f"g2_zero {fit.g2_zero:.6g} {fit.g2_zero_sigma:.3g}"]
+    lines += [f"{name} {getattr(fit, name):.6g} {err:.3g}" for name, err in named]
+    lines.append(f"reduced_chi2 {fit.reduced_chi2:.6g}")
     if args.rho is not None:
-        print(f"rho {args.rho:.6g}")
-    if fit.no_dip:
-        print("flag no_dip")
-    for flag in fit.flags:
-        print(f"flag {flag}")
-    if not fit.converged:
-        print(f"fit did not converge: {fit.message}", file=sys.stderr)
-        return 5
-    return 0
+        lines.append(f"rho {args.rho:.6g}")
+    flags = (["no_dip"] if fit.no_dip else []) + list(fit.flags)
+    return _report(lines, flags, fit.converged, f"fit did not converge: {fit.message}")
 
 
 def _read_counts(path) -> np.ndarray:
@@ -287,7 +291,8 @@ def _cmd_stats(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        # not a write_table: the comment lines repeat the key "degenerate"
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -297,37 +302,20 @@ def _cmd_stats(args) -> int:
 def _cmd_saturation(args) -> int:
     power, rate, sigma = read_saturation_csv(args.csvfile)
     fit = fit_saturation(power, rate, sigma, dwell_time=args.dwell)
-    sig = fit.param_sigma()
-    print(f"sat_rate {fit.sat_rate:.6g} {sig[0]:.3g}")
-    print(f"sat_power {fit.sat_power:.6g} {sig[1]:.3g}")
-    print(f"bg_slope {fit.bg_slope:.6g} {sig[2]:.3g}")
-    print(f"reduced_chi2 {fit.reduced_chi2:.6g}")
-    for flag in fit.flags:
-        print(f"flag {flag}")
-    if not fit.converged:
-        print("saturation fit did not converge", file=sys.stderr)
-        return 5
-    return 0
+    named = zip(("sat_rate", "sat_power", "bg_slope"), fit.param_sigma())
+    lines = [f"{name} {getattr(fit, name):.6g} {err:.3g}" for name, err in named]
+    lines.append(f"reduced_chi2 {fit.reduced_chi2:.6g}")
+    return _report(lines, fit.flags, fit.converged, "saturation fit did not converge")
 
 
 def _cmd_decay(args) -> int:
     hist = read_decay_csv(args.csvfile)
     fit = fit_decay(hist)
     if "no_fit" in fit.flags:
-        print(f"no fit: {fit.flags['no_fit']}", file=sys.stderr)
-        return 5
-    print(f"amp_fast {fit.amp_fast:.6g}")
-    print(f"tau_fast {fit.tau_fast:.6g}")
-    print(f"amp_slow {fit.amp_slow:.6g}")
-    print(f"tau_slow {fit.tau_slow:.6g}")
-    print(f"baseline {fit.baseline:.6g}")
-    print(f"reduced_chi2 {fit.reduced_chi2:.6g}")
-    for flag in fit.flags:
-        print(f"flag {flag}")
-    if not fit.converged:
-        print("decay fit did not converge", file=sys.stderr)
-        return 5
-    return 0
+        return _report([], [], False, f"no fit: {fit.flags['no_fit']}")
+    names = ("amp_fast", "tau_fast", "amp_slow", "tau_slow", "baseline", "reduced_chi2")
+    lines = [f"{name} {getattr(fit, name):.6g}" for name in names]
+    return _report(lines, fit.flags, fit.converged, "decay fit did not converge")
 
 
 def _cmd_dw(args) -> int:
@@ -335,19 +323,14 @@ def _cmd_dw(args) -> int:
     result = debye_waller(
         spectrum, zpl_halfwidth=args.halfwidth, n_psb=args.psb, method=args.method
     )
-    print(f"dw {result.dw:.6g}")
-    print(f"zpl_area {result.zpl_area:.6g}")
-    print(f"psb_area {result.psb_area:.6g}")
-    for center, amplitude, sigma, area in result.components:
-        print(f"component {center * 1e9:.4f}nm amp {amplitude:.6g} area {area:.6g}")
-    print(f"method {result.flags.get('method', 'fit')}")
-    for flag in result.flags:
-        if flag != "method":
-            print(f"flag {flag}")
-    if not result.converged:
-        print("spectrum fit did not converge", file=sys.stderr)
-        return 5
-    return 0
+    lines = [f"{name} {getattr(result, name):.6g}" for name in ("dw", "zpl_area", "psb_area")]
+    lines += [
+        f"component {center * 1e9:.4f}nm amp {amplitude:.6g} area {area:.6g}"
+        for center, amplitude, sigma, area in result.components
+    ]
+    lines.append(f"method {result.flags.get('method', 'fit')}")
+    flags = [flag for flag in result.flags if flag != "method"]
+    return _report(lines, flags, result.converged, "spectrum fit did not converge")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,11 +111,15 @@ def g2_model(tau, n_emitters: float, a: float, tau1: float, tau2: float):
     return _dip(n_emitters, a, np.exp(-t / tau1), np.exp(-t / tau2))
 
 
-def _bin_coverage(bin_ticks: int, m_bins: int) -> np.ndarray:
-    cov = np.full(2 * m_bins + 1, bin_ticks, dtype=np.int64)
-    if bin_ticks % 2 == 0:
-        cov[m_bins] = bin_ticks - 1  # central bin loses the half-edge ties
-    return cov
+def _bins(bin_ticks: int, m_bins: int):
+    """Bins -m_bins..m_bins: each one's delay, first and last |delay| and
+    number of delays, in ticks as floats (exact below 2**53, never wrapping)."""
+    ticks = np.arange(-m_bins, m_bins + 1, dtype=float) * bin_ticks
+    lo = np.maximum(np.abs(ticks) - bin_ticks // 2, 0.0)
+    hi = np.abs(ticks) + ((bin_ticks + 1) // 2 - 1)
+    coverage = np.full(ticks.size, float(bin_ticks))
+    coverage[m_bins] = 2.0 * hi[m_bins] + 1.0
+    return ticks, lo, hi, coverage
 
 
 def correlate(
@@ -143,8 +147,8 @@ def correlate_chunked(
     """:func:`correlate` with channel A split into at least ``n_chunks``
     chunks, each correlated against the slice of B within reach of it; the
     raw counts are summed, so the histogram is bin-for-bin the same for any
-    ``n_chunks``. Exists so large streams can be processed in parallel or
-    out of core.
+    ``n_chunks``. Both streams are held in memory; the chunks bound only the
+    pair arrays.
 
     A histogram, or a set of pairs, too large for the available memory
     raises :class:`DomainError` naming the bin count, and so do delays
@@ -224,14 +228,14 @@ def correlate_chunked(
             start = max(m_bins - c, 0)
             raw[start : start + held.size] += held
 
-        coverage = _bin_coverage(bin_ticks, m_bins)
+        ticks, _, _, coverage = _bins(bin_ticks, m_bins)
         rate_a = a.n_tags / total_time
         rate_b = b.n_tags / total_time
         normalizer = rate_a * rate_b * (coverage * res) * total_time
         return G2Histogram(
             bin_width=snapped,
             window=window,
-            tau=(np.arange(-m_bins, m_bins + 1) * bin_ticks) * res,
+            tau=ticks * res,
             g2=raw / normalizer,
             sigma=np.sqrt(raw) / normalizer,
             raw=raw,
@@ -262,15 +266,7 @@ def _dip_half_width(tau: np.ndarray, g2: np.ndarray) -> float:
 
 def _bin_span(hist: G2Histogram):
     """First and last |tau| tick each bin covers (floats, in ticks)."""
-    b = int(round(hist.bin_width / hist.resolution))
-    m = (hist.tau.size - 1) // 2
-    k = np.abs(np.arange(-m, m + 1))
-    if b % 2 == 0:
-        lo = np.where(k == 0, 0.0, k * b - b / 2.0)
-        hi = np.where(k == 0, b / 2.0 - 1.0, k * b + b / 2.0 - 1.0)
-    else:
-        lo = np.where(k == 0, 0.0, k * b - (b - 1) / 2.0)
-        hi = k * b + (b - 1) / 2.0
+    _, lo, hi, _ = _bins(int(round(hist.bin_width / hist.resolution)), hist.tau.size // 2)
     return lo, hi
 
 
@@ -462,18 +458,13 @@ def background_correct(g2, rho: float, sigma=None):
     rho2 = rho * rho
     if isinstance(g2, G2Histogram):
         corrected = (g2.g2 - (1.0 - rho2)) / rho2
-        out = G2Histogram(
-            bin_width=g2.bin_width,
-            window=g2.window,
+        out = replace(
+            g2,
             tau=g2.tau.copy(),
             g2=corrected,
             sigma=g2.sigma / rho2,
             raw=g2.raw.copy(),
             normalizer=g2.normalizer * rho2,
-            rate_a=g2.rate_a,
-            rate_b=g2.rate_b,
-            total_time=g2.total_time,
-            resolution=g2.resolution,
             flags=dict(g2.flags),
         )
         out.flags["background_corrected"] = rho
@@ -512,8 +503,7 @@ def write_histogram_csv(hist: G2Histogram, path) -> None:
               hist.total_time, hist.resolution * 1e12)
     meta = dict(zip(_HISTOGRAM_META, values))
     columns = (hist.tau * 1e9, hist.g2, hist.sigma, hist.raw)
-    with open(path, "w") as fh:
-        write_table(fh, _HISTOGRAM_HEADER, columns, "%.17g,%.17g,%.17g,%d", meta)
+    write_table(path, _HISTOGRAM_HEADER, columns, "%.17g,%.17g,%.17g,%d", meta)
 
 
 def read_histogram_csv(path) -> G2Histogram:
@@ -532,8 +522,7 @@ def read_histogram_csv(path) -> G2Histogram:
     bin_ticks = int(round(ticks)) if ticks < 2**62 else 0
     if bin_ticks < 1:
         raise FormatError(f"bin width of {ticks!r} ticks is not in 1..2**62", offset=1)
-    m_bins = (len(raw) - 1) // 2
-    coverage = _bin_coverage(bin_ticks, m_bins)
+    coverage = _bins(bin_ticks, len(raw) // 2)[3]
     normalizer = (
         meta["rate_a_cps"] * meta["rate_b_cps"] * (coverage * res) * meta["total_time_s"]
     )

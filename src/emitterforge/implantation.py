@@ -280,8 +280,7 @@ def write_pattern_csv(pattern: ImplantPattern, path) -> None:
     """Write sites as ``label,x_um,y_um,expected_ions`` (numbers at 17 digits)."""
     rows = [(s.label, s.x * 1e6, s.y * 1e6, s.expected_ions) for s in pattern.sites]
     meta = {"kind": pattern.kind, "pitch_um": pattern.pitch * 1e6}
-    with open(path, "w") as fh:
-        write_table(fh, _PATTERN_HEADER, zip(*rows), "%s,%.17g,%.17g,%.17g", meta)
+    write_table(path, _PATTERN_HEADER, zip(*rows), "%s,%.17g,%.17g,%.17g", meta)
 
 
 def read_pattern_csv(path) -> ImplantPattern:

@@ -351,8 +351,7 @@ def simulate_pulsed_decay(
 def write_decay_csv(hist: DecayHistogram, path) -> None:
     """Write a decay histogram as ``time_ns,counts`` with a metadata comment."""
     meta = {"n_pulses": hist.n_pulses, "bin_width_ns": hist.bin_width * 1e9}
-    with open(path, "w") as fh:
-        write_table(fh, "time_ns,counts", (hist.bin_centers * 1e9, hist.counts), "%.17g,%d", meta)
+    write_table(path, "time_ns,counts", (hist.bin_centers * 1e9, hist.counts), "%.17g,%d", meta)
 
 
 def read_decay_csv(path) -> DecayHistogram:

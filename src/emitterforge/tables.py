@@ -120,13 +120,15 @@ def read_table(path, headers: dict, meta: dict | None = None, min_rows: int = 0)
     return Table(header, columns, lines, found)
 
 
-def write_table(fh, header: str, columns, fmt: str, meta: dict | None = None) -> None:
-    """Write the ``meta`` comment (floats at 17 digits), the header and one
-    ``fmt % row`` line per row of ``columns``; numpy columns are written
-    through ``.tolist()``, so ``fmt`` formats Python numbers."""
-    if meta:
-        tokens = (f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items())
-        fh.write("# " + " ".join(tokens) + "\n")
-    fh.write(header + "\n")
+def write_table(path, header: str, columns, fmt: str, meta: dict | None = None) -> None:
+    """Write ``path`` as UTF-8 with ``\\n`` line ends on any locale: the
+    ``meta`` comment (floats at 17 digits), the header and one ``fmt % row``
+    line per row of ``columns``; numpy columns are written through
+    ``.tolist()``, so ``fmt`` formats Python numbers."""
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-    fh.writelines(fmt % row + "\n" for row in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if meta:
+            tokens = (f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items())
+            fh.write("# " + " ".join(tokens) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(fmt % row + "\n" for row in rows)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import emitterforge
-from emitterforge import cli
+from emitterforge import cli, fitkit
 from emitterforge.analysis import debye_waller, fit_saturation
 from emitterforge.cli import main
 from emitterforge.errors import ConfigError, DomainError, FormatError
@@ -349,6 +349,20 @@ def test_g2_delays_past_int64_exit_2(tmp_path, capsys):
     assert "int64 limit of 2**63 ticks" in capsys.readouterr().err
 
 
+def test_g2_huge_bins_write_an_unwrapped_histogram(tmp_path, capsys):
+    # 1e18-tick bins: the outer bins lie past 2**63 ticks, and their tau
+    # once wrapped to +-8446744073709551 ns
+    p = tmp_path / "far.ttg"
+    ticks = np.array([0, 2 * 10**18, 4 * 10**18], np.int64)
+    write_timetags(TimeTagStream(1e-12, np.array([0, 1, 0], np.uint8), ticks, 5e6), p)
+    out = tmp_path / "far_g2.csv"
+    # the fit of one pair may end either way; the histogram is what is checked
+    assert main(["g2", str(p), "--bin", "1000000 s", "--window", "10000000 s"]) in (0, 5)
+    tau_ns = [float(line.split(",")[0]) for line in out.read_text().splitlines()[2:]]
+    assert tau_ns[0] == -1e16 and tau_ns[-1] == 1e16
+    assert tau_ns == sorted(tau_ns)
+
+
 def test_stats_from_counts_file(tmp_path, capsys):
     counts = tmp_path / "counts.txt"
     counts.write_text("\n".join(["0"] * 60 + ["1"] * 30 + ["2"] * 10) + "\n")
@@ -390,6 +404,17 @@ def test_stats_bad_line_exit_4(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_stats_out_writes_what_stats_prints(tmp_path, capsys):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("0\n0\n1\n3\n")
+    assert main(["stats", str(counts), "--fit-mu"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "dist.csv"
+    assert main(["stats", str(counts), "--fit-mu", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
 @pytest.fixture
 def saturation_csv(tmp_path):
     from emitterforge.analysis import saturation_model, write_saturation_csv
@@ -421,15 +446,30 @@ def test_saturation_dwell_past_float_range_exit_5(saturation_csv, capsys):
     assert "flag covariance_singular" in capsys.readouterr().out
 
 
-def test_decay_subcommand(tmp_path, capsys):
+def _decay_csv(path):
     from emitterforge.photonsim import DecayHistogram, write_decay_csv
 
     t = np.arange(0.0, 500e-9, 1e-9)
     y = np.zeros(t.size)
     y[10:] = 6000.0 * np.exp(-(t[10:] - t[10]) / 25e-9)
     counts = np.random.default_rng(2).poisson(y + 10.0)
-    path = tmp_path / "decay.csv"
     write_decay_csv(DecayHistogram(t, counts, 1e-9, 100_000), path)
+
+
+def _spectrum_csv(path):
+    from emitterforge.analysis import Spectrum, write_spectrum_csv
+
+    wl = np.linspace(1.255e-6, 1.40e-6, 600)
+    y = (
+        np.exp(-0.5 * ((wl - 1.278e-6) / 2e-9) ** 2)
+        + 0.25 * np.exp(-0.5 * ((wl - 1.310e-6) / 16e-9) ** 2)
+    )
+    write_spectrum_csv(Spectrum(wavelength=wl, intensity=y), path)
+
+
+def test_decay_subcommand(tmp_path, capsys):
+    path = tmp_path / "decay.csv"
+    _decay_csv(path)
     assert main(["decay", str(path)]) == 0
     out = capsys.readouterr().out
     tau_line = [l for l in out.splitlines() if l.startswith("tau_fast")][0]
@@ -444,18 +484,14 @@ def test_decay_flat_histogram_exit_5(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     write_decay_csv(DecayHistogram(t, counts, 1e-9, 1000), path)
     assert main(["decay", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("no fit: ") and len(captured.err.splitlines()) == 1
 
 
 def test_dw_subcommand(tmp_path, capsys):
-    from emitterforge.analysis import Spectrum, write_spectrum_csv
-
-    wl = np.linspace(1.255e-6, 1.40e-6, 600)
-    y = (
-        np.exp(-0.5 * ((wl - 1.278e-6) / 2e-9) ** 2)
-        + 0.25 * np.exp(-0.5 * ((wl - 1.310e-6) / 16e-9) ** 2)
-    )
     path = tmp_path / "spec.csv"
-    write_spectrum_csv(Spectrum(wavelength=wl, intensity=y), path)
+    _spectrum_csv(path)
     assert main(["dw", str(path), "--psb", "1"]) == 0
     out = capsys.readouterr().out
     dw_line = [l for l in out.splitlines() if l.startswith("dw ")][0]
@@ -464,6 +500,25 @@ def test_dw_subcommand(tmp_path, capsys):
     # 5 + 3 * 200 parameters for 600 points: refused before any fit
     assert main(["dw", str(path), "--psb", "200"]) == 2
     assert "more than the 600 spectrum points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,first,write", [
+    ("g2", "histogram", None), ("saturation", "sat_rate", None),
+    ("decay", "amp_fast", _decay_csv), ("dw", "dw", _spectrum_csv),
+])
+def test_unconverged_fit_exit_5(command, first, write, single_emitter_file, saturation_csv,
+                                tmp_path, monkeypatch, capsys):
+    # no iteration allowed: every fit ends unconverged, still reports its
+    # result lines and names the failure in one stderr line
+    path = {"g2": single_emitter_file, "saturation": saturation_csv}.get(command, tmp_path / "in.csv")
+    if write:
+        write(path)
+    monkeypatch.setattr(fitkit, "MAX_ITERATIONS", 0)
+    assert main([command, str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].split()[0] == first
+    assert len(captured.err.splitlines()) == 1
+    assert "did not converge" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 from emitterforge import fitkit
 from emitterforge.correlator import (
     G2Histogram,
+    _bin_span,
     _bin_subsamples,
     _BinnedDip,
     background_correct,
@@ -173,6 +174,21 @@ def test_chunked_equals_monolithic():
         ch = correlate_chunked(a, b, bin_width=5e-9, window=400e-9, n_chunks=n_chunks)
         assert np.array_equal(ch.raw, ref.raw)
         assert ch.g2 == pytest.approx(ref.g2, rel=1e-15)
+
+
+def test_huge_bins_keep_their_layout():
+    # 1e18-tick bins, 10 each side: the outer delays pass 2**63 ticks, where
+    # an int64 layout wraps; tags 2e18 ticks apart stay in the int64 range
+    a = TimeTagStream(1e-12, np.zeros(1, np.uint8), np.array([0], np.int64), 4e6)
+    b = TimeTagStream(1e-12, np.ones(1, np.uint8), np.array([2 * 10**18], np.int64), 4e6)
+    hist = correlate(a, b, bin_width=1e6, window=1e7)
+    assert hist.tau.size == 21
+    assert np.all(np.diff(hist.tau) > 0)
+    assert np.array_equal(hist.tau, -hist.tau[::-1])
+    assert hist.tau[0] == -1e7
+    lo, hi = _bin_span(hist)
+    assert np.all(lo >= 0) and np.all(hi >= lo)
+    assert hist.raw[10 + 2] == hist.raw.sum() == 1
 
 
 def test_correlate_validation():

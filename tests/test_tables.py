@@ -7,14 +7,19 @@ table is written byte for byte as before. The simulate manifest is pinned
 by ``test_golden.py``.
 """
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emitterforge
 from emitterforge.analysis import (
     Spectrum,
     SpotMeasurement,
@@ -132,6 +137,31 @@ def test_writer_bytes_unchanged(tmp_path, name):
     path = tmp_path / f"{name}.csv"
     write(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_tables_are_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale with UTF-8 mode off: a writer that took the locale's
+    # encoding would raise UnicodeEncodeError on the label
+    table = tmp_path / "spots.csv"
+    counts = tmp_path / "counts.txt"
+    counts.write_text("0\n1\n1\n2\n")
+    script = (
+        "import sys\n"
+        "from emitterforge.analysis import SpotMeasurement, read_spot_table, write_spot_table\n"
+        "from emitterforge.cli import main\n"
+        f"write_spot_table([SpotMeasurement('\\u00b5spot', 2.0, 1.0)], [1], {str(table)!r})\n"
+        f"spots, estimates = read_spot_table({str(table)!r})\n"
+        "assert spots[0].label == '\\u00b5spot' and estimates == [1], spots\n"
+        f"sys.exit(main(['stats', {str(counts)!r}, '--out', {str(tmp_path / 'dist.csv')!r}]))\n"
+    )
+    src = str(Path(emitterforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert table.read_bytes().splitlines()[1] == b"\xc2\xb5spot,2,1,,1"
+    assert (tmp_path / "dist.csv").read_text().startswith("# samples=4\n")
 
 
 # ------------------------------------------------------- the shared dialect
