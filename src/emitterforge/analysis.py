@@ -1,10 +1,10 @@
 """Count-rate calibration, saturation/decay/line-scan fits and spectra.
 
 Everything here is pure computation on measured (or simulated) values;
-batch use over many spots needs no coordination. All fits run through
-:func:`_fit`, a weighted :mod:`.fitkit` fit of a model that returns its
-value with its analytic Jacobian, on internally rescaled parameters so the
-normal equations stay well conditioned regardless of the input units. The
+batch use over many spots needs no coordination. Every fit is a
+:class:`.fitkit.FitProblem`: a model that returns its value with its
+analytic Jacobian, on internally rescaled parameters so the normal
+equations stay well conditioned regardless of the input units. The
 line scan and the Debye-Waller decomposition share one model, a polynomial
 baseline plus Gaussians (:func:`_peaks`); both decay fits share a sum of
 exponentials plus a constant (:func:`_exponentials`).
@@ -60,9 +60,7 @@ class SaturationFitResult:
     flags: dict = field(default_factory=dict)
 
     def param_sigma(self) -> np.ndarray:
-        if self.covariance is None:
-            return np.full(3, np.nan)
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+        return fitkit.standard_errors(self.covariance, 3)
 
 
 @dataclass
@@ -118,21 +116,6 @@ def count_emitters(rate: float, background: float, i_single: float) -> int:
         raise DomainError(f"i_single must be positive, got {i_single}")
     ratio = (rate - background) / i_single
     return max(0, math.floor(ratio + 0.5))
-
-
-def _fit(model, y, sigma, x0, lower, upper) -> fitkit.FitOutcome:
-    """Weighted least-squares fit of ``model(v) -> (value, jacobian)`` to
-    ``y``; ``sigma`` is per point or one value for all points."""
-    sig = np.broadcast_to(sigma, y.shape)
-    return fitkit.least_squares(
-        fitkit.FitProblem(
-            residual=lambda v: (model(v)[0] - y) / sig,
-            x0=x0,
-            lower=lower,
-            upper=upper,
-            jacobian=lambda v: model(v)[1] / sig[:, None],
-        )
-    )
 
 
 def _peaks(u, n_base: int, v):
@@ -228,12 +211,12 @@ def fit_saturation(
         theta = u * unit
         return saturation_model(p, *theta), saturation_model_gradient(p, *theta) * unit
 
-    outcome = _fit(
+    outcome = fitkit.least_squares(fitkit.FitProblem(
         model, y, sig,
         x0=np.array([sat0 / y_scale, p0_0 / p_scale, slope0 * p_scale / y_scale]),
         lower=np.array([0.0, 1e-9, 0.0]),
         upper=np.array([1e9, 1e9, 1e9]),
-    )
+    ))
     cov = None if outcome.covariance is None else outcome.covariance * np.outer(unit, unit)
     result = SaturationFitResult(
         sat_rate=float(outcome.params[0]) * y_scale,
@@ -323,10 +306,10 @@ def fit_decay(histogram) -> DecayFitResult:
         """The outcome, its parameters and covariance in physical units."""
         odd = np.arange(x0.size) % 2 == 1  # the time constants, in units of tau0
         unit = np.where(odd, tau0, y_scale)
-        outcome = _fit(
+        outcome = fitkit.least_squares(fitkit.FitProblem(
             lambda v: _exponentials(ts, tau0, v), ys / y_scale, sig / y_scale, x0,
             lower=np.where(odd, 1e-3, 0.0), upper=np.full(x0.size, 1e6),
-        )
+        ))
         cov = None if outcome.covariance is None else outcome.covariance * np.outer(unit, unit)
         return outcome, outcome.params * unit, cov
 
@@ -334,9 +317,7 @@ def fit_decay(histogram) -> DecayFitResult:
     outcome, p, cov = fit(bi_x0)
     amps, taus = p[0:4:2], p[1:4:2]
     ratio = float(np.max(taus) / max(np.min(taus), 1e-300))
-    amp_sigma = (
-        np.full(2, np.nan) if cov is None else np.sqrt(np.clip(np.diag(cov)[0:4:2], 0.0, None))
-    )
+    amp_sigma = fitkit.standard_errors(cov, 5)[0:4:2]
     weak = int(np.argmin(amps))
     one_component = amps[weak] < 0.01 * max(np.max(amps), 1e-300) or (
         np.isfinite(amp_sigma[weak]) and amps[weak] < 2.0 * amp_sigma[weak]
@@ -457,7 +438,8 @@ def fit_line_scan(position, rate) -> LineScanResult:
         [[1e6], np.full(n_peaks, 1e6), np.full(n_peaks, 1.1), np.full(n_peaks, 1.0)]
     )
     # a sigma of 1 / y_scale keeps the residuals in the units of y
-    outcome = _fit(lambda u: _peaks(xs, 1, u), y / y_scale, 1.0 / y_scale, x0, lower, upper)
+    problem = fitkit.FitProblem(lambda u: _peaks(xs, 1, u), y / y_scale, 1.0 / y_scale, x0, lower, upper)
+    outcome = fitkit.least_squares(problem)
     b = outcome.params[0] * y_scale
     amps, cents, sigs = outcome.params[1:].reshape(3, n_peaks) * [[y_scale], [span], [span]]
     cents = cents + x[0]
@@ -594,7 +576,8 @@ def debye_waller(
         [[10.0, 10.0], np.full(n_psb + 1, 10.0), [u_zpl + u_hw], np.ones(n_psb),
          [u_hw], np.ones(n_psb)]
     )
-    outcome = _fit(lambda v: _peaks(u_wl, 2, v), yn, 1.0, x0, lower, upper)
+    problem = fitkit.FitProblem(lambda v: _peaks(u_wl, 2, v), yn, 1.0, x0, lower, upper)
+    outcome = fitkit.least_squares(problem)
     (b0, b1), (amps, cents, sigs) = outcome.params[:2], outcome.params[2:].reshape(3, -1)
     areas = amps * sigs * math.sqrt(2.0 * math.pi)
     zpl_area_u = areas[0]

@@ -249,9 +249,9 @@ def _cmd_g2(args) -> int:
     )
     if args.rho is not None:
         hist = background_correct(hist, args.rho)
-    fit = fit_g2(hist)
     out = args.out or str(Path(args.tagfile).with_suffix("")) + "_g2.csv"
-    write_histogram_csv(hist, out)
+    write_histogram_csv(hist, out)  # kept when the fit raises
+    fit = fit_g2(hist)
 
     named = zip(("n_emitters", "a", "tau1", "tau2"), fit.param_sigma)
     lines = [f"histogram {out}", f"g2_zero {fit.g2_zero:.6g} {fit.g2_zero_sigma:.3g}"]

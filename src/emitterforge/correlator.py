@@ -284,31 +284,25 @@ def _bin_subsamples(hist: G2Histogram):
 
 
 class _BinnedDip:
-    """Weighted residual and Jacobian of the dip model averaged over the
-    :func:`_bin_subsamples` nodes of each bin, in closed form.
+    """The dip model averaged over the :func:`_bin_subsamples` nodes of each
+    bin, with its Jacobian, in closed form.
 
     The nodes of a bin are equally spaced, t0 + j h for j < _N_SUB, so the
     bin mean of e^(-t/tau) is e^(-t0/tau) * mean_j q^j with q = e^(-h/tau).
     The geometric factor depends on h alone, which takes one value in the
     central bin and one in all others, so an evaluation costs one
     exponential per bin per time constant; the tau-derivatives come from the
-    same exponentials. Parameters are (N, a, tau1/scale, tau2/scale). The
-    last evaluation is cached, so the Jacobian at an accepted step reuses
-    the exponentials of the residual at that point.
+    same exponentials. Parameters are (N, a, tau1/scale, tau2/scale).
     """
 
-    def __init__(self, hist: G2Histogram, sigma: np.ndarray, scale: float):
+    def __init__(self, hist: G2Histogram, scale: float):
         lo, hi = _bin_span(hist)
         spans, self._which = np.unique(hi - lo, return_inverse=True)
         self._h = spans * hist.resolution / _N_SUB
         self._t0 = (lo + (hi - lo) * (0.5 / _N_SUB)) * hist.resolution
         self._h_bin = self._h[self._which]
         self._j = np.arange(_N_SUB, dtype=float)
-        self._y = hist.g2
-        self._sigma = sigma
         self._scale = scale
-        self._key = None
-        self._terms = None
 
     def _exp_means(self, tau: float):
         """Bin means of e^(-t/tau) and of their tau-derivative t e^(-t/tau) / tau^2."""
@@ -318,36 +312,21 @@ class _BinnedDip:
         e0 = np.exp(-self._t0 / tau)
         return e0 * geo, e0 * (self._t0 * geo + self._h_bin * geo_j) / (tau * tau)
 
-    def _evaluate(self, p: np.ndarray):
-        key = p.tobytes()
-        if key != self._key:
-            self._terms = (
-                *self._exp_means(p[2] * self._scale),
-                *self._exp_means(p[3] * self._scale),
-            )
-            self._key = key
-        return self._terms
-
-    def model(self, p: np.ndarray) -> np.ndarray:
-        """Bin-averaged :func:`g2_model`; non-finite outside its domain."""
-        if p[2] <= 0.0 or p[3] <= 0.0 or p[0] < 1.0:
-            return np.full(self._t0.shape, np.inf)
-        e1, _, e2, _ = self._evaluate(p)
-        return _dip(p[0], p[1], e1, e2)
-
-    def residual(self, p: np.ndarray) -> np.ndarray:
-        return (self.model(p) - self._y) / self._sigma
-
-    def jacobian(self, p: np.ndarray) -> np.ndarray:
+    def __call__(self, p: np.ndarray):
+        """Bin-averaged :func:`g2_model` and its Jacobian; the value is
+        non-finite outside the model's domain."""
         n, a = p[0], p[1]
-        e1, d1, e2, d2 = self._evaluate(p)
+        if p[2] <= 0.0 or p[3] <= 0.0 or n < 1.0:
+            return np.full(self._t0.shape, np.inf), None
+        e1, d1 = self._exp_means(p[2] * self._scale)
+        e2, d2 = self._exp_means(p[3] * self._scale)
         cols = (
             ((1.0 + a) * e1 - a * e2) / (n * n),
             (e2 - e1) / n,
             -(1.0 + a) * self._scale / n * d1,
             a * self._scale / n * d2,
         )
-        return np.stack(cols, axis=1) / self._sigma[:, None]
+        return _dip(n, a, e1, e2), np.stack(cols, axis=1)
 
 
 def fit_g2(hist: G2Histogram) -> G2Fit:
@@ -363,15 +342,21 @@ def fit_g2(hist: G2Histogram) -> G2Fit:
     weights are out of float range raises :class:`DomainError`.
     """
     tau, y = hist.tau, hist.g2
-    sigma = hist.fit_sigma()
-    # a background correction by a tiny rho can push both out of float range
-    if not (np.all(np.isfinite(y)) and np.all(1.0 / sigma**2 > 0.0)):
-        raise DomainError("g2 values or their weights are out of float range")
-    g_max = float(np.max(y))
+    tau1_0 = _dip_half_width(tau, y)
+    scale = max(float(tau1_0), 1e-12)
+    # the problem refuses g2 values or weights out of float range (a
+    # background correction by a tiny rho gives them) before the weighted
+    # means below seed N and a
+    problem = fitkit.FitProblem(
+        _BinnedDip(hist, scale), y, hist.fit_sigma(),
+        x0=np.array([1.0, 0.0, tau1_0 / scale, 10.0 * tau1_0 / scale]),
+        lower=np.array([1.0, 0.0, 1e-6, 1e-6]),
+        upper=np.array([1e9, 1e6, 1e9, 1e9]),
+    )
 
     # dip significance: central 5 bins against the outer half-window
     def _weighted(mask):
-        w = 1.0 / sigma[mask] ** 2
+        w = 1.0 / problem.sigma[mask] ** 2
         return float(np.sum(w * y[mask]) / w.sum()), 1.0 / float(w.sum())
 
     center_mask = np.abs(tau) <= 2.5 * hist.bin_width
@@ -384,18 +369,7 @@ def fit_g2(hist: G2Histogram) -> G2Fit:
     # depth -> N through g2(0) = (N-1)/N; a shallow or absent dip seeds a
     # modest N and lets the optimizer drift up if needed
     n0 = min(max(1.0 / max(depth, 1e-2), 1.0), 100.0)
-    a0 = max(g_max - 1.0, 0.0)
-    tau1_0 = _dip_half_width(tau, y)
-    scale = max(float(tau1_0), 1e-12)
-    dip = _BinnedDip(hist, sigma, scale)
-
-    problem = fitkit.FitProblem(
-        residual=dip.residual,
-        jacobian=dip.jacobian,
-        x0=np.array([n0, a0, tau1_0 / scale, 10.0 * tau1_0 / scale]),
-        lower=np.array([1.0, 0.0, 1e-6, 1e-6]),
-        upper=np.array([1e9, 1e6, 1e9, 1e9]),
-    )
+    problem.x0[:2] = n0, max(float(np.max(y)) - 1.0, 0.0)
     outcome = fitkit.least_squares(problem)
     n_fit, a_fit = float(outcome.params[0]), float(outcome.params[1])
     tau1_fit = float(outcome.params[2]) * scale
@@ -403,9 +377,7 @@ def fit_g2(hist: G2Histogram) -> G2Fit:
 
     unit = np.array([1.0, 1.0, scale, scale])
     cov = None if outcome.covariance is None else outcome.covariance * np.outer(unit, unit)
-    sigmas = (
-        np.full(4, np.nan) if cov is None else np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    )
+    sigmas = fitkit.standard_errors(cov, 4)
     g2_zero = (n_fit - 1.0) / n_fit
     g2_zero_sigma = float(sigmas[0]) / n_fit**2 if np.isfinite(sigmas[0]) else float("nan")
     return G2Fit(

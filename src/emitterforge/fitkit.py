@@ -1,12 +1,16 @@
 """Small weighted nonlinear least-squares engine.
 
 All model fits in this package go through :func:`least_squares`, a
-Levenberg-Marquardt loop with box-bound projection. Every problem supplies
-its analytic Jacobian; :func:`finite_difference_jacobian` is kept as a
-reference to check one against. Residual functions are expected to return
-*weighted* residuals (already divided by the per-point sigma), so the
-covariance and reduced chi-square come out in natural units. Every fit
-stops on the constants ``MAX_ITERATIONS`` (200), ``COST_TOL`` (1e-10) and
+Levenberg-Marquardt loop with box-bound projection. A :class:`FitProblem`
+holds one model callback and the data it is fitted to: ``model(p)``
+returns the model at every data point together with its analytic
+Jacobian, and fitkit weights both by ``sigma`` itself, so the covariance
+and reduced chi-square come out in natural units. Each trial point costs
+one model call, and the Jacobian of the accepted point is the one kept. A
+non-finite model value marks a point outside the model's domain; its
+Jacobian is not read. :func:`finite_difference_jacobian` is kept as a
+reference to check an analytic Jacobian against. Every fit stops on the
+constants ``MAX_ITERATIONS`` (200), ``COST_TOL`` (1e-10) and
 ``GRADIENT_TOL`` (1e-10).
 """
 from __future__ import annotations
@@ -29,27 +33,45 @@ _MAX_INNER_RETRIES = 25
 
 @dataclass
 class FitProblem:
-    """A weighted least-squares problem; its iteration cap and convergence
-    thresholds are the constants ``MAX_ITERATIONS`` and ``COST_TOL``.
+    """A weighted least-squares fit of ``model`` to ``y``; its iteration cap
+    and convergence thresholds are the constants ``MAX_ITERATIONS`` and
+    ``COST_TOL``.
 
     Parameters
     ----------
-    residual : callable
-        Maps a parameter vector to the weighted residual vector.
+    model : callable
+        Maps a parameter vector to ``(value, jacobian)``: the model at the m
+        data points and its m x n Jacobian. A value with a non-finite entry
+        marks a point outside the model's domain; its Jacobian may be None.
+    y : array_like
+        The m data points.
+    sigma : array_like or float
+        Their standard deviations, per point or one for all.
     x0 : array_like
         Initial parameter values.
     lower, upper : array_like or None
         Box bounds; steps are projected back onto the box.
-    jacobian : callable, keyword only
-        Maps a parameter vector to the m x n Jacobian of the *weighted*
-        residual.
+
+    A non-finite data value, or a sigma that is not positive or whose
+    square overflows (its weight ``1 / sigma**2`` would read 0), raises
+    :class:`DomainError` here, once per fit.
     """
 
-    residual: Callable[[np.ndarray], np.ndarray]
+    model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
+    y: np.ndarray
+    sigma: np.ndarray | float
     x0: np.ndarray
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    jacobian: Callable[[np.ndarray], np.ndarray] = field(kw_only=True)
+
+    def __post_init__(self):
+        self.y = np.asarray(self.y, dtype=float)
+        self.sigma = np.broadcast_to(np.asarray(self.sigma, dtype=float), self.y.shape)
+        # comparisons only, so the check cannot overflow: sigma**2 is finite
+        # exactly below 2**512, and 1 / sigma**2 is then above 0
+        in_range = (self.sigma > 0.0) & (self.sigma < 2.0**512)
+        if not (np.all(np.isfinite(self.y)) and np.all(in_range)):
+            raise DomainError("values to fit or their weights are out of float range")
 
 
 @dataclass
@@ -74,9 +96,15 @@ class FitOutcome:
     flags: dict = field(default_factory=dict)
 
     def param_sigma(self) -> np.ndarray:
-        if self.covariance is None:
-            return np.full(self.params.shape, np.nan)
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+        return standard_errors(self.covariance, self.params.size)
+
+
+def standard_errors(covariance: np.ndarray | None, n: int) -> np.ndarray:
+    """Square roots of the covariance diagonal, negative round-off read as
+    0; ``n`` NaNs when there is no covariance."""
+    if covariance is None:
+        return np.full(n, np.nan)
+    return np.sqrt(np.clip(np.diag(covariance), 0.0, None))
 
 
 def finite_difference_jacobian(
@@ -130,31 +158,34 @@ def finite_difference_jacobian(
     return jac
 
 
-def _problem_jacobian(problem, x, r):
-    """The problem's Jacobian at ``x``; non-finite columns are zeroed and
-    flagged."""
-    jac = np.array(problem.jacobian(x), dtype=float, ndmin=2)
-    if jac.shape != (r.size, x.size):
+def _weighted_jacobian(jac, sigma, x):
+    """A model Jacobian at ``x`` divided by ``sigma``; non-finite columns
+    are zeroed and flagged."""
+    jac = np.array(jac, dtype=float, ndmin=2)
+    if jac.shape != (sigma.size, x.size):
         raise DomainError(
-            f"jacobian has shape {jac.shape}, expected {(r.size, x.size)}"
+            f"jacobian has shape {jac.shape}, expected {(sigma.size, x.size)}"
         )
+    jac /= sigma[:, None]
     bad = ~np.all(np.isfinite(jac), axis=0)
     jac[:, bad] = 0.0
     return jac, np.flatnonzero(bad).tolist()
 
 
 def least_squares(problem: FitProblem) -> FitOutcome:
-    """Minimize the sum of squared residuals with damped Gauss-Newton steps.
+    """Minimize the weighted sum of squares ``sum(((model - y) / sigma)**2)``
+    with damped Gauss-Newton steps.
 
-    The Jacobian comes from ``problem.jacobian``. Damping starts at 1e-3
-    and moves by factors of 10 (up on a rejected step, down on an accepted
-    one). Convergence: relative cost decrease below ``COST_TOL`` (1e-10) or
+    Each trial point costs one ``problem.model`` call, whose Jacobian is
+    kept when the point is accepted. Damping starts at 1e-3 and moves by
+    factors of 10 (up on a rejected step, down on an accepted one).
+    Convergence: relative cost decrease below ``COST_TOL`` (1e-10) or
     infinity-norm of the gradient below ``GRADIENT_TOL`` (1e-10), within
     ``MAX_ITERATIONS`` (200) accepted steps. Singular normal equations
     get damped retries and, if they persist, a non-converged outcome
     carrying the best point seen.
     """
-    x = np.asarray(problem.x0, dtype=float).copy()
+    y, sigma = problem.y, problem.sigma
     lower = None if problem.lower is None else np.asarray(problem.lower, dtype=float)
     upper = None if problem.upper is None else np.asarray(problem.upper, dtype=float)
 
@@ -165,14 +196,16 @@ def least_squares(problem: FitProblem) -> FitOutcome:
             p = np.minimum(p, upper)
         return p
 
-    def cost_of(r: np.ndarray) -> float:
-        return float(np.dot(r, r))
+    def evaluate(p: np.ndarray):
+        """Weighted residual at ``p`` and the model's Jacobian there."""
+        value, jac = problem.model(p)
+        return (np.asarray(value, dtype=float) - y) / sigma, jac
 
-    x = project(x)
-    r = np.atleast_1d(np.asarray(problem.residual(x), dtype=float))
+    x = project(np.asarray(problem.x0, dtype=float).copy())
+    r, model_jac = evaluate(x)
     if not np.all(np.isfinite(r)):
         raise DomainError("residual is non-finite at the initial point")
-    cost = cost_of(r)
+    cost = float(np.dot(r, r))
 
     def blocked(grad: np.ndarray) -> np.ndarray:
         mask = np.zeros(x.size, dtype=bool)
@@ -186,7 +219,7 @@ def least_squares(problem: FitProblem) -> FitOutcome:
     iterations = 0
     converged = False
     message = "max iterations reached"
-    jac, flagged = _problem_jacobian(problem, x, r)
+    jac, flagged = _weighted_jacobian(model_jac, sigma, x)
 
     while iterations < MAX_ITERATIONS:
         grad = jac.T @ r
@@ -219,11 +252,11 @@ def least_squares(problem: FitProblem) -> FitOutcome:
             step = np.zeros(x.size)
             step[idx] = step_f
             x_new = project(x + step)
-            r_new = np.asarray(problem.residual(x_new), dtype=float)
+            r_new, model_jac = evaluate(x_new)
             if not np.all(np.isfinite(r_new)):
                 lam *= DAMPING_UP
                 continue
-            cost_new = cost_of(r_new)
+            cost_new = float(np.dot(r_new, r_new))
             if cost_new < cost:
                 accepted = True
                 break
@@ -250,7 +283,7 @@ def least_squares(problem: FitProblem) -> FitOutcome:
         if rel_decrease > 0.9999:
             lam = min(lam, 1e-12)
         iterations += 1
-        jac, flagged = _problem_jacobian(problem, x, r)
+        jac, flagged = _weighted_jacobian(model_jac, sigma, x)
         if rel_decrease < COST_TOL:
             converged = True
             message = "relative cost decrease below tolerance"

@@ -310,7 +310,7 @@ def test_dw_components_lie_on_the_spectrum():
 
 
 def test_dw_model_evaluations_per_iteration_do_not_grow_with_n_psb(monkeypatch):
-    # each trial point and each Jacobian of the fit costs one model
+    # each model call of the fit, value and Jacobian together, costs one
     # evaluation, however many side-band components there are
     peaks = analysis._peaks
     calls = []
@@ -327,8 +327,7 @@ def test_dw_model_evaluations_per_iteration_do_not_grow_with_n_psb(monkeypatch):
         return evaluate
 
     def counting_least_squares(problem):
-        problem.residual = counted("residual", problem.residual)
-        problem.jacobian = counted("jacobian", problem.jacobian)
+        problem.model = counted("model", problem.model)
         return least_squares(problem)
 
     monkeypatch.setattr(fitkit, "least_squares", counting_least_squares)
@@ -338,7 +337,7 @@ def test_dw_model_evaluations_per_iteration_do_not_grow_with_n_psb(monkeypatch):
         costs.clear()
         debye_waller(s, zpl_halfwidth=6e-9, n_psb=n_psb)
         per_n_psb.append(sorted(costs))
-    assert per_n_psb[0] == per_n_psb[1] == [("jacobian", 1), ("residual", 1)]
+    assert per_n_psb[0] == per_n_psb[1] == [("model", 1)]
 
 
 def test_dw_thirty_two_percent():

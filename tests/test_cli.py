@@ -13,6 +13,7 @@ import emitterforge
 from emitterforge import cli, fitkit
 from emitterforge.analysis import debye_waller, fit_saturation
 from emitterforge.cli import main
+from emitterforge.correlator import read_histogram_csv
 from emitterforge.errors import ConfigError, DomainError, FormatError
 from emitterforge.photonsim import (
     DetectorModel,
@@ -315,10 +316,17 @@ def test_g2_fit_past_memory_exit_2(single_emitter_file, monkeypatch, capsys):
     assert capsys.readouterr().err == "invalid value: out of memory: Unable to allocate 15.3 MiB\n"
 
 
-def test_g2_rho_past_float_range_exit_2(single_emitter_file, capsys):
-    # rho^2 = 1.6e-308 makes every fit weight 0.0
-    assert main(["g2", str(single_emitter_file), "--rho=1.26e-154"]) == 2
-    assert "out of float range" in capsys.readouterr().err
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_g2_rho_past_float_range_exit_2(single_emitter_file, tmp_path, capsys):
+    # rho^2 = 1.6e-308 makes every fit weight 0.0; the refusal overflows
+    # nothing, and the histogram is written before the fit
+    out = tmp_path / "rho.csv"
+    assert main(["g2", str(single_emitter_file), "--rho=1.26e-154", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid value: ")
+    assert "out of float range" in err[0]
+    hist = read_histogram_csv(out)
+    assert hist.raw.sum() > 0 and np.all(np.isfinite(hist.g2))
 
 
 def test_g2_truncated_file_exit_4(single_emitter_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Golden byte-identity of ``emitterforge simulate``, ``emitterforge g2``
-and ``run_detection``.
+"""Golden byte-identity of ``emitterforge simulate``, ``emitterforge g2``,
+the fit subcommands (``saturation``, ``decay``, ``dw``) and
+``run_detection``.
 
 A small dose-ladder run with every detector imperfection switched on
 (background, efficiency, jitter, dead time, dark counts) and sites holding
@@ -29,14 +30,23 @@ rather than from this package; the failure message names both versions.
 import hashlib
 
 import numpy as np
+import pytest
 
 from emitterforge import cli
+from emitterforge.analysis import (
+    Spectrum,
+    saturation_model,
+    write_saturation_csv,
+    write_spectrum_csv,
+)
 from emitterforge.cli import main
 from emitterforge.photonsim import (
+    DecayHistogram,
     DetectorModel,
     EmitterModel,
     run_detection,
     simulate_emitter_tags,
+    write_decay_csv,
 )
 
 # the numpy version the digests below were taken with
@@ -208,5 +218,57 @@ def test_run_detection_with_efficiency_thinning_matches_golden_digest():
         digest.update(arm.timestamps.tobytes())
     assert digest.hexdigest() == DETECTION_SHA256, (
         f"detected tags changed (digest taken with numpy {GOLDEN_NUMPY},"
+        f" running numpy {np.__version__})"
+    )
+
+
+# the printed fits of ``saturation``, ``decay`` and ``dw``, each on an input
+# written from a fixed formula with seeded noise
+def _saturation_input(path):
+    power = np.geomspace(5e-6, 2e-3, 14)
+    rate = saturation_model(power, 1.3e4, 110e-6, 2e6)
+    sigma = np.sqrt(rate)
+    noisy = rate + sigma * np.random.default_rng(41).standard_normal(power.size)
+    write_saturation_csv(power, noisy, path, sigma)
+
+
+def _decay_input(path):
+    t = np.arange(0.0, 400e-9, 1e-9)
+    y = np.zeros(t.size)
+    y[8:] = 5e3 * np.exp(-(t[8:] - t[8]) / 20e-9) + 8e2 * np.exp(-(t[8:] - t[8]) / 150e-9)
+    counts = np.random.default_rng(42).poisson(y + 6.0)
+    write_decay_csv(DecayHistogram(t, counts, 1e-9, 10_000), path)
+
+
+def _dw_input(path):
+    wl = np.linspace(1.255e-6, 1.40e-6, 300)
+    y = (
+        np.exp(-0.5 * ((wl - 1278e-9) / 2e-9) ** 2)
+        + 0.25 * np.exp(-0.5 * ((wl - 1310e-9) / 16e-9) ** 2)
+        + np.random.default_rng(43).normal(0.0, 0.01, wl.size)
+    )
+    write_spectrum_csv(Spectrum(wl, np.clip(y, 0.0, None)), path)
+
+
+FIT_SHA256 = {
+    "saturation": "18c1335c740df27b93cf1f1fd25bab967682c66c56b697810ae7175906641595",
+    "decay": "050f73fe0baed707547bd8d11f91a601cc7a3d19dacc1780754b16459487b858",
+    "dw": "4fe9c4631d4378b7d9dafd946a5a1ebdb2fad9ae71233cb2aee7c1ff592086d4",
+}
+
+
+@pytest.mark.parametrize("command,write,args", [
+    ("saturation", _saturation_input, []),
+    ("decay", _decay_input, []),
+    ("dw", _dw_input, ["--psb", "1"]),
+])
+def test_fit_subcommand_matches_golden_digest(command, write, args, tmp_path, capsys):
+    path = tmp_path / f"{command}.csv"
+    write(path)
+    capsys.readouterr()
+    assert main([command, str(path), *args]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == FIT_SHA256[command], (
+        f"{command} output changed (digest taken with numpy {GOLDEN_NUMPY},"
         f" running numpy {np.__version__})"
     )
