@@ -6,7 +6,9 @@ run is deterministic given its config file and seed; the seed resolves as
 EMITTERFORGE_SEED environment variable.
 
 Exit codes: 0 success, 2 configuration error or invalid value (out of
-memory included), 3 I/O error, 4 data format error, 5 fit failure.
+memory included), 3 I/O error, 4 data format error, 5 fit failure. A
+warning that a command raises prints as one ``warning: <message>`` line on
+stderr.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -271,6 +274,8 @@ def _read_counts(path) -> np.ndarray:
 
 
 def _cmd_stats(args) -> int:
+    if args.k is not None and not args.fit_mu:
+        raise ConfigError("--k is used only with --fit-mu", key="k")
     counts = _read_counts(args.input)
     if counts.size == 0:
         raise ConfigError("input contains no counts")
@@ -279,7 +284,7 @@ def _cmd_stats(args) -> int:
     if dist.probabilities.size == 1:
         lines.append("# degenerate=true")
     if args.fit_mu:
-        fit = defectstats.fit_mu(dist, args.k)
+        fit = defectstats.fit_mu(dist, 1 if args.k is None else args.k)
         lines.append(
             f"# fitted_mu={fit.mu:.17g} log_likelihood={fit.log_likelihood:.17g}"
             f" degenerate={'true' if fit.degenerate else 'false'}"
@@ -361,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="defect-count distribution from manifest or counts")
     p.add_argument("input", help="simulate manifest CSV or one count per line")
-    p.add_argument("--k", type=int, default=1, help="successes consumed per center")
+    p.add_argument("--k", type=int, default=None, help="successes consumed per center, for --fit-mu (default 1)")
     p.add_argument("--fit-mu", action="store_true", help="fit the composite-Poisson mu")
     p.add_argument("--out", default=None, help="distribution CSV path (default stdout)")
     p.set_defaults(func=_cmd_stats)
@@ -396,7 +401,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # one line per warning, without the file, line and source
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

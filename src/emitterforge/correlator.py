@@ -50,9 +50,11 @@ _HISTOGRAM_META = {
 class G2Histogram:
     """Normalized coincidence histogram.
 
-    ``g2 = raw / normalizer`` per bin; ``sigma = sqrt(raw) / normalizer``.
-    ``normalizer`` already accounts for the exact tick coverage of each bin,
-    so an uncorrelated pair of streams has expectation 1 everywhere.
+    ``g2 = raw / normalizer`` per bin until :func:`background_correct`;
+    ``sigma = sqrt(raw) / normalizer`` on whatever :func:`correlate` and
+    :func:`background_correct` return. ``normalizer`` already accounts for
+    the exact tick coverage of each bin, so an uncorrelated pair of streams
+    has expectation 1 everywhere.
     """
 
     bin_width: float
@@ -67,10 +69,6 @@ class G2Histogram:
     total_time: float
     resolution: float
     flags: dict = field(default_factory=dict)
-
-    def fit_sigma(self) -> np.ndarray:
-        """Per-bin sigma with empty bins floored at one count."""
-        return np.sqrt(np.maximum(self.raw, 1)) / self.normalizer
 
 
 @dataclass
@@ -133,29 +131,14 @@ def correlate(
     The normalizer ``rate_a * rate_b * bin_coverage * total_time`` makes an
     uncorrelated (Poisson) pair average to g2 = 1. A window longer than the
     acquisition is allowed but flagged ('window_exceeds_duration').
+
+    Channel A is correlated in parts of at most ``_A_CHUNK`` (200,000)
+    starts, each against the slice of B within its reach; the parts bound
+    the pair arrays' memory and change no count. A histogram, or a set of
+    pairs, too large for the available memory raises :class:`DomainError`
+    naming the bin count, and so do delays whose span, plus about 1.5 bins,
+    passes the int64 tick range.
     """
-    return correlate_chunked(a, b, bin_width, window, n_chunks=1)
-
-
-def correlate_chunked(
-    a: TimeTagStream,
-    b: TimeTagStream,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-    window: float = DEFAULT_WINDOW,
-    n_chunks: int = 1,
-) -> G2Histogram:
-    """:func:`correlate` with channel A split into at least ``n_chunks``
-    chunks, each correlated against the slice of B within reach of it; the
-    raw counts are summed, so the histogram is bin-for-bin the same for any
-    ``n_chunks``. Both streams are held in memory; the chunks bound only the
-    pair arrays.
-
-    A histogram, or a set of pairs, too large for the available memory
-    raises :class:`DomainError` naming the bin count, and so do delays
-    whose span, plus about 1.5 bins, passes the int64 tick range.
-    """
-    if n_chunks < 1:
-        raise DomainError(f"n_chunks must be at least 1, got {n_chunks}")
     if a.n_tags == 0 or b.n_tags == 0:
         raise DomainError("both channels must contain tags")
     if a.resolution != b.resolution:
@@ -201,9 +184,7 @@ def correlate_chunked(
         )
     try:
         raw = np.zeros(n_bins, dtype=np.int64)
-        # at most _A_CHUNK starts per part bound the pair arrays' memory
-        n_parts = max(n_chunks, -(-a.n_tags // _A_CHUNK))
-        for a_part in np.array_split(a.timestamps, n_parts):
+        for a_part in np.array_split(a.timestamps, -(-a.n_tags // _A_CHUNK)):
             if a_part.size == 0:
                 continue
             stop = np.minimum(a_part, last_b - ahead) + ahead
@@ -344,11 +325,11 @@ def fit_g2(hist: G2Histogram) -> G2Fit:
     tau, y = hist.tau, hist.g2
     tau1_0 = _dip_half_width(tau, y)
     scale = max(float(tau1_0), 1e-12)
-    # the problem refuses g2 values or weights out of float range (a
-    # background correction by a tiny rho gives them) before the weighted
-    # means below seed N and a
+    # empty bins are weighted as one count; the problem refuses g2 values
+    # or weights out of float range (a background correction by a tiny rho
+    # gives them) before the weighted means below seed N and a
     problem = fitkit.FitProblem(
-        _BinnedDip(hist, scale), y, hist.fit_sigma(),
+        _BinnedDip(hist, scale), y, np.sqrt(np.maximum(hist.raw, 1)) / hist.normalizer,
         x0=np.array([1.0, 0.0, tau1_0 / scale, 10.0 * tau1_0 / scale]),
         lower=np.array([1.0, 0.0, 1e-6, 1e-6]),
         upper=np.array([1e9, 1e6, 1e9, 1e9]),
@@ -412,13 +393,12 @@ def rho_from_rates(spot_rate: float, background_rate: float) -> float:
     return (spot_rate - background_rate) / spot_rate
 
 
-def background_correct(g2, rho: float, sigma=None):
+def background_correct(hist: G2Histogram, rho: float) -> G2Histogram:
     """Remove uncorrelated background: g_corr = (g - (1 - rho^2)) / rho^2.
 
-    Accepts a scalar, an array, or a :class:`G2Histogram` (returns the same
-    kind). Sigmas scale by 1/rho^2. Values below zero after correction are
-    possible with noisy data and set the 'below_zero' flag on a histogram;
-    rho below ``RHO_FLOOR`` (0.1) triggers a reliability warning.
+    Returns a new histogram with sigma scaled by 1/rho^2. Values below zero
+    after correction are possible with noisy data and set the 'below_zero'
+    flag; rho below ``RHO_FLOOR`` (0.1) triggers a reliability warning.
     """
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"rho must be in (0, 1], got {rho}")
@@ -428,27 +408,20 @@ def background_correct(g2, rho: float, sigma=None):
             CorrectionWarning,
         )
     rho2 = rho * rho
-    if isinstance(g2, G2Histogram):
-        corrected = (g2.g2 - (1.0 - rho2)) / rho2
-        out = replace(
-            g2,
-            tau=g2.tau.copy(),
-            g2=corrected,
-            sigma=g2.sigma / rho2,
-            raw=g2.raw.copy(),
-            normalizer=g2.normalizer * rho2,
-            flags=dict(g2.flags),
-        )
-        out.flags["background_corrected"] = rho
-        if np.any(corrected < 0):
-            out.flags["below_zero"] = True
-        return out
-    value = (np.asarray(g2, dtype=float) - (1.0 - rho2)) / rho2
-    value = float(value) if np.ndim(g2) == 0 else value
-    if sigma is None:
-        return value
-    scaled = np.asarray(sigma, dtype=float) / rho2
-    return value, (float(scaled) if np.ndim(sigma) == 0 else scaled)
+    corrected = (hist.g2 - (1.0 - rho2)) / rho2
+    out = replace(
+        hist,
+        tau=hist.tau.copy(),
+        g2=corrected,
+        sigma=hist.sigma / rho2,
+        raw=hist.raw.copy(),
+        normalizer=hist.normalizer * rho2,
+        flags=dict(hist.flags),
+    )
+    out.flags["background_corrected"] = rho
+    if np.any(corrected < 0):
+        out.flags["below_zero"] = True
+    return out
 
 
 def max_emitters_from_g2(g2_zero: float) -> int | None:

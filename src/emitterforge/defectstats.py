@@ -42,13 +42,13 @@ class CreationModel:
 class DefectDistribution:
     """Empirical occurrence histogram of center numbers.
 
-    ``counts[N]`` is the number of observed sites with N centers;
-    ``lo68``/``hi68`` bound each empirical probability with a Wilson score
-    interval at 68% confidence.
+    ``counts[N]`` is the number of observed sites with N centers and
+    ``sample_count`` their sum; ``lo68``/``hi68`` bound each empirical
+    probability with a Wilson score interval at 68% confidence.
     """
 
     counts: np.ndarray
-    sample_count: int = 0
+    sample_count: int = field(init=False)
     probabilities: np.ndarray = field(init=False)
     lo68: np.ndarray = field(init=False)
     hi68: np.ndarray = field(init=False)
@@ -57,11 +57,7 @@ class DefectDistribution:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if np.any(self.counts < 0):
             raise DomainError("counts must be nonnegative")
-        total = int(self.counts.sum())
-        if self.sample_count == 0:
-            self.sample_count = total
-        elif self.sample_count != total:
-            raise DomainError("sample_count disagrees with counts")
+        total = self.sample_count = int(self.counts.sum())
         if total == 0:
             raise DomainError("distribution needs at least one sample")
         self.probabilities = self.counts / total
@@ -126,25 +122,20 @@ def composite_moments(mu: float, k: int) -> tuple[float, float]:
     return mean, var
 
 
-def sample_defect_count(
-    n_ions: int | np.ndarray,
-    model: CreationModel,
-    seed,
-    size: int | None = None,
-):
+def sample_defect_count(n_ions: int | np.ndarray, model: CreationModel, seed):
     """Draw center numbers: m ~ Binomial(n_ions, p_success), N = m // k.
 
-    ``seed`` may be an int, a SeedSequence, or an existing Generator. With
-    ``size`` given (or array-valued ``n_ions``) an int64 array is returned,
-    otherwise a single int.
+    ``seed`` may be an int, a SeedSequence, or an existing Generator. An
+    array-valued ``n_ions`` returns an int64 array of the same shape, a
+    scalar one a single int.
     """
     n_arr = np.asarray(n_ions)
     if np.any(n_arr < 0):
         raise DomainError("n_ions must be nonnegative")
     rng = np.random.default_rng(seed)
-    m = rng.binomial(n_arr, model.p_success, size=size)
+    m = rng.binomial(n_arr, model.p_success)
     counts = m // model.atoms_per_center
-    if size is None and n_arr.ndim == 0:
+    if n_arr.ndim == 0:
         return int(counts)
     return counts.astype(np.int64)
 

@@ -114,18 +114,6 @@ class TimeTagStream:
         channels = np.full(ts.size, channel if ts.size else 0, np.uint8)
         return TimeTagStream._trusted(self.resolution, channels, ts, self.duration)
 
-    def times(self, channel: int | None = None) -> np.ndarray:
-        """Tag times in seconds, optionally restricted to one channel."""
-        ts = self.timestamps if channel is None else self.timestamps[self.channels == channel]
-        return ts * self.resolution
-
-    def rate(self, channel: int | None = None) -> float:
-        """Mean count rate in counts/second over the acquisition."""
-        if self.duration == 0:
-            return 0.0
-        n = self.n_tags if channel is None else int(np.sum(self.channels == channel))
-        return n / self.duration
-
 
 def merge_streams(*streams: TimeTagStream) -> TimeTagStream:
     """Merge streams on a common tick grid into one time-ordered stream.

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from emitterforge import correlator
 from emitterforge.analysis import (
     SpotMeasurement,
     calibrate_single_rate,
@@ -24,7 +25,6 @@ from emitterforge.cli import main
 from emitterforge.correlator import (
     background_correct,
     correlate,
-    correlate_chunked,
     fit_g2,
     rho_from_rates,
 )
@@ -260,7 +260,7 @@ def test_criterion_09_calibration_pipeline():
     assert elapsed < 600.0
 
 
-def test_criterion_10_determinism_and_formats(tmp_path):
+def test_criterion_10_determinism_and_formats(tmp_path, monkeypatch):
     ini = tmp_path / "grid.ini"
     ini.write_text(
         "[pattern]\nkind = fib_grid\npitch = 10 um\nrows = 1\n\n"
@@ -297,7 +297,10 @@ def test_criterion_10_determinism_and_formats(tmp_path):
     b = simulate_background_tags(2e4, 10.0, seed=702)
     whole = correlate(a, b, bin_width=20e-9, window=2e-6)
     for n_chunks in (2, 7, 64):
-        split = correlate_chunked(a, b, bin_width=20e-9, window=2e-6, n_chunks=n_chunks)
+        # parts of at most _A_CHUNK starts: A splits into n_chunks parts
+        monkeypatch.setattr(correlator, "_A_CHUNK", -(-a.n_tags // n_chunks))
+        assert -(-a.n_tags // correlator._A_CHUNK) == n_chunks
+        split = correlate(a, b, bin_width=20e-9, window=2e-6)
         assert np.array_equal(split.raw, whole.raw)
         assert split.g2 == pytest.approx(whole.g2, rel=1e-12)
     print("criterion 10: chunked correlation equals monolithic bin-for-bin")

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -322,11 +323,33 @@ def test_g2_rho_past_float_range_exit_2(single_emitter_file, tmp_path, capsys):
     # nothing, and the histogram is written before the fit
     out = tmp_path / "rho.csv"
     assert main(["g2", str(single_emitter_file), "--rho=1.26e-154", "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("invalid value: ")
-    assert "out of float range" in err[0]
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: rho = 1.26e-154 below 0.1; corrected g2 is unreliable",
+        "invalid value: values to fit or their weights are out of float range",
+    ]
     hist = read_histogram_csv(out)
     assert hist.raw.sum() > 0 and np.all(np.isfinite(hist.g2))
+
+
+def test_g2_warning_is_one_stderr_line(single_emitter_file, tmp_path):
+    # run as a program, where Python's own display would add the file, the
+    # line number and the source line of the warning
+    src = str(Path(emitterforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["g2", str(single_emitter_file), "--rho", "0.05", "--out", str(tmp_path / "h.csv")]
+    done = subprocess.run(
+        [sys.executable, "-m", "emitterforge.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "warning: rho = 0.05 below 0.1; corrected g2 is unreliable\n"
+
+
+def test_main_restores_the_warning_display(single_emitter_file, tmp_path, capsys):
+    before = warnings.showwarning
+    argv = ["g2", str(single_emitter_file), "--rho", "0.05", "--out", str(tmp_path / "h.csv")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.startswith("warning: rho = 0.05 below 0.1")
+    assert warnings.showwarning is before
 
 
 def test_g2_truncated_file_exit_4(single_emitter_file, tmp_path, capsys):
@@ -382,6 +405,20 @@ def test_stats_from_counts_file(tmp_path, capsys):
     assert float(line1.split(",")[1]) == pytest.approx(0.6)
     # the block sum of a huge k stops where the Poisson terms underflow
     assert main(["stats", str(counts), "--k", "1000000000", "--fit-mu"]) == 0
+
+
+def test_stats_k_without_fit_mu_exit_2(tmp_path, capsys):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("0\n1\n1\n2\n")
+    assert main(["stats", str(counts), "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--fit-mu" in captured.err
+    # --fit-mu alone fits at k = 1
+    assert main(["stats", str(counts), "--fit-mu"]) == 0
+    alone = capsys.readouterr().out
+    assert main(["stats", str(counts), "--fit-mu", "--k", "1"]) == 0
+    assert capsys.readouterr().out == alone
 
 
 def test_stats_from_manifest(small_ini, tmp_path, capsys):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from emitterforge import fitkit
+from emitterforge import correlator, fitkit
 from emitterforge.correlator import (
     G2Histogram,
     _bin_span,
@@ -12,7 +12,6 @@ from emitterforge.correlator import (
     _BinnedDip,
     background_correct,
     correlate,
-    correlate_chunked,
     fit_g2,
     g2_model,
     max_emitters_from_g2,
@@ -167,11 +166,14 @@ def test_even_bin_center_coverage():
     assert abs(z) < 4.0
 
 
-def test_chunked_equals_monolithic():
+def test_chunked_equals_monolithic(monkeypatch):
     a, b = _poisson_pair(2e4, 10.0, seed=300)
     ref = correlate(a, b, bin_width=5e-9, window=400e-9)
     for n_chunks in (1, 2, 7, 64):
-        ch = correlate_chunked(a, b, bin_width=5e-9, window=400e-9, n_chunks=n_chunks)
+        # parts of at most _A_CHUNK starts: A splits into n_chunks parts
+        monkeypatch.setattr(correlator, "_A_CHUNK", -(-a.n_tags // n_chunks))
+        assert -(-a.n_tags // correlator._A_CHUNK) == n_chunks
+        ch = correlate(a, b, bin_width=5e-9, window=400e-9)
         assert np.array_equal(ch.raw, ref.raw)
         assert ch.g2 == pytest.approx(ref.g2, rel=1e-15)
 
@@ -322,7 +324,7 @@ def test_binned_dip_jacobian_matches_fd():
         hist = _noise_histogram(bin_ticks)
         scale = 10 * hist.bin_width
         dip = _BinnedDip(hist, scale)
-        sigma = hist.fit_sigma()
+        sigma = np.sqrt(np.maximum(hist.raw, 1)) / hist.normalizer  # as fit_g2 weighs
 
         def residual(u):  # weighted as fitkit weighs it
             return (dip(u)[0] - hist.g2) / sigma
@@ -383,16 +385,29 @@ def test_rho_from_rates():
     assert any(issubclass(w.category, CorrectionWarning) for w in caught)
 
 
+def _histogram_of(g2):
+    """A histogram with the given g2 values, for the background algebra."""
+    g2 = np.asarray(g2, dtype=float)
+    raw = np.full(g2.size, 400, np.int64)
+    return G2Histogram(
+        bin_width=1e-9, window=(g2.size // 2) * 1e-9,
+        tau=(np.arange(g2.size) - g2.size // 2) * 1e-9, g2=g2,
+        sigma=np.full(g2.size, 0.05), raw=raw, normalizer=raw / g2, rate_a=1e4,
+        rate_b=1e4, total_time=1.0, resolution=1e-12,
+    )
+
+
 def test_background_correct_algebra():
     # g(0) = 0.36 at rho = 0.8 corrects to exactly zero
-    assert background_correct(0.36, 0.8) == pytest.approx(0.0, abs=1e-15)
-    assert background_correct(1.0, 0.8) == pytest.approx(1.0, rel=1e-15)
+    out = background_correct(_histogram_of([0.36, 1.0, 1.0]), 0.8)
+    assert out.g2[0] == pytest.approx(0.0, abs=1e-15)
+    assert out.g2[1] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_background_correct_identity_at_rho_one():
     g = np.array([0.3, 0.9, 1.1])
-    out = background_correct(g, 1.0)
-    assert np.array_equal(out, g)
+    out = background_correct(_histogram_of(g), 1.0)
+    assert np.array_equal(out.g2, g)
 
 
 def test_background_correct_histogram_scales_sigma():
@@ -408,13 +423,14 @@ def test_background_correct_histogram_scales_sigma():
 
 
 def test_background_correct_validation():
+    hist = _histogram_of([1.0])
     with pytest.raises(DomainError):
-        background_correct(1.0, 0.0)
+        background_correct(hist, 0.0)
     with pytest.raises(DomainError):
-        background_correct(1.0, 1.2)
+        background_correct(hist, 1.2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        background_correct(1.0, 0.05)  # rho below the trust floor
+        background_correct(hist, 0.05)  # rho below the trust floor
     assert any(issubclass(w.category, CorrectionWarning) for w in caught)
 
 

@@ -104,7 +104,7 @@ def test_composite_moments_sub_poisson():
 def test_sample_defect_count_zero_ions():
     model = CreationModel(p_success=0.16, atoms_per_center=3)
     assert sample_defect_count(0, model, seed=1) == 0
-    out = sample_defect_count(0, model, seed=1, size=100)
+    out = sample_defect_count(np.zeros(100, int), model, seed=1)
     assert np.all(out == 0)
 
 
@@ -187,7 +187,8 @@ def test_fit_mu_round_trip_large_counts():
     # analytic histogram at mu = 4, k = 3 with large effective counts
     pmf = composite_pmf_array(4.0, 3, 10)
     counts = np.round(pmf * 10_000_000).astype(np.int64)
-    dist = DefectDistribution(counts, sample_count=int(counts.sum()))
+    dist = DefectDistribution(counts)
+    assert dist.sample_count == counts.sum()
     fit = fit_mu(dist, k=3)
     assert not fit.degenerate
     assert fit.mu == pytest.approx(4.0, abs=0.05)
@@ -196,7 +197,9 @@ def test_fit_mu_round_trip_large_counts():
 def test_fit_mu_round_trip_mu48():
     pmf = composite_pmf_array(4.8, 3, 12)
     counts = np.round(pmf * 10_000_000).astype(np.int64)
-    fit = fit_mu(DefectDistribution(counts, sample_count=int(counts.sum())), k=3)
+    dist = DefectDistribution(counts)
+    assert dist.sample_count == counts.sum()
+    fit = fit_mu(dist, k=3)
     assert fit.mu == pytest.approx(4.8, abs=0.1)
 
 

@@ -7,13 +7,15 @@ and bin for bin.
 """
 import struct
 from decimal import ROUND_HALF_UP, Decimal
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emitterforge.correlator import correlate, correlate_chunked
+from emitterforge import correlator
+from emitterforge.correlator import correlate
 from emitterforge.errors import DomainError, FormatError
 from emitterforge.photonsim import (
     _SCALAR_BURSTS,
@@ -331,7 +333,9 @@ def test_correlate_matches_brute_force_pair_count(case):
         assert past_int64(a_ticks, b_ticks, bin_ticks, m_bins)
         return
     assert hist.raw.tolist() == expected
-    chunked = correlate_chunked(a, b, bin_width=bin_width, window=window, n_chunks=n_chunks)
+    # parts of at most ceil(n_A / n_chunks) starts: n_chunks parts or fewer
+    with patch.object(correlator, "_A_CHUNK", -(-len(a_ticks) // n_chunks)):
+        chunked = correlate(a, b, bin_width=bin_width, window=window)
     assert chunked.raw.tolist() == expected
 
 

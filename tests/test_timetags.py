@@ -44,16 +44,11 @@ def test_validation():
         _stream([1, 2], channels=[0])
 
 
-def test_select_and_times_and_rate():
+def test_select_keeps_one_channel():
     s = _stream([10, 20, 30, 40], channels=[0, 1, 0, 1], resolution=1e-9, duration=2.0)
     a = s.select(0)
     assert a.timestamps.tolist() == [10, 30]
     assert a.channels.tolist() == [0, 0]
-    assert s.times(1) == pytest.approx([20e-9, 40e-9])
-    assert s.rate() == pytest.approx(2.0)
-    assert s.rate(1) == pytest.approx(1.0)
-    empty = _stream([], duration=0.0)
-    assert empty.rate() == 0.0
 
 
 @pytest.mark.parametrize("channel", [5, 300, -1])
