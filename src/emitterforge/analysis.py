@@ -19,13 +19,12 @@ import numpy as np
 
 from . import fitkit
 from .errors import DomainError, ZeroSignalWarning
-from .tables import optional, read_table, write_table
+from .tables import read_table, write_table
 from .units import FWHM_PER_SIGMA
 
 G_CENTER_ZPL = 1278e-9  # zero-phonon line of the carbon G center
 W_CENTER_ZPL = 1218e-9  # zero-phonon line of the W center
 _MIN_POST_PEAK = 20  # post-peak bins fit_decay needs
-_SPOT_HEADER = "label,rate_cps,background_cps,n_g2,n_estimated"
 
 
 @dataclass
@@ -151,7 +150,7 @@ def saturation_model(power, sat_rate: float, sat_power: float, bg_slope: float):
     return curve + bg_slope * p
 
 
-def saturation_model_gradient(power, sat_rate: float, sat_power: float, bg_slope: float):
+def _saturation_gradient(power, sat_rate: float, sat_power: float, bg_slope: float):
     """Analytic gradient of :func:`saturation_model` w.r.t. its parameters,
     shape (npoints, 3). Matches central finite differences to 1e-5."""
     p = np.asarray(power, dtype=float)
@@ -209,7 +208,7 @@ def fit_saturation(
     def model(u):
         # chain rule through the scaled parameters: d/du_i = unit_i * d/dtheta_i
         theta = u * unit
-        return saturation_model(p, *theta), saturation_model_gradient(p, *theta) * unit
+        return saturation_model(p, *theta), _saturation_gradient(p, *theta) * unit
 
     outcome = fitkit.least_squares(fitkit.FitProblem(
         model, y, sig,
@@ -621,14 +620,8 @@ def write_spot_table(spots: list[SpotMeasurement], estimates, path) -> None:
         ["" if s.n_emitters_g2 is None else s.n_emitters_g2 for s in spots],
         ["" if est is None else est for est in estimates],
     )
-    write_table(path, _SPOT_HEADER, columns, "%s,%.17g,%.17g,%s,%s")
-
-
-def read_spot_table(path):
-    """Read a spot table CSV; returns (spots, estimates) aligned lists."""
-    parsers = (str, float, float, optional(int), optional(int))
-    *columns, estimates = read_table(path, {_SPOT_HEADER: parsers}).columns
-    return [SpotMeasurement(*row) for row in zip(*columns)], estimates
+    header = "label,rate_cps,background_cps,n_g2,n_estimated"
+    write_table(path, header, columns, "%s,%.17g,%.17g,%s,%s")
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:

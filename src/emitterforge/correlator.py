@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fitkit
-from .errors import CorrectionWarning, DomainError, FormatError
-from .tables import count, positive, read_table, write_table
+from .errors import CorrectionWarning, DomainError
+from .tables import write_table
 from .timetags import TimeTagStream
 
 DEFAULT_BIN_WIDTH = 1e-9
@@ -35,15 +35,6 @@ DEFAULT_WINDOW = 250e-9
 RHO_FLOOR = 0.1  # background_correct warns below this signal fraction
 _N_SUB = 8  # quadrature nodes per bin of the bin-averaged dip model
 _A_CHUNK = 200_000  # bound the pair-array memory
-_HISTOGRAM_HEADER = "tau_ns,g2,sigma,raw"
-_HISTOGRAM_META = {
-    "bin_width_ps": positive,
-    "window_ps": float,
-    "rate_a_cps": float,
-    "rate_b_cps": float,
-    "total_time_s": float,
-    "resolution_ps": positive,
-}
 
 
 @dataclass
@@ -444,44 +435,14 @@ def max_emitters_from_g2(g2_zero: float) -> int | None:
 
 def write_histogram_csv(hist: G2Histogram, path) -> None:
     """CSV rendering ``tau_ns,g2,sigma,raw`` with a metadata comment line."""
-    values = (hist.bin_width * 1e12, hist.window * 1e12, hist.rate_a, hist.rate_b,
-              hist.total_time, hist.resolution * 1e12)
-    meta = dict(zip(_HISTOGRAM_META, values))
+    meta = {
+        "bin_width_ps": hist.bin_width * 1e12,
+        "window_ps": hist.window * 1e12,
+        "rate_a_cps": hist.rate_a,
+        "rate_b_cps": hist.rate_b,
+        "total_time_s": hist.total_time,
+        "resolution_ps": hist.resolution * 1e12,
+    }
     columns = (hist.tau * 1e9, hist.g2, hist.sigma, hist.raw)
-    write_table(path, _HISTOGRAM_HEADER, columns, "%.17g,%.17g,%.17g,%d", meta)
+    write_table(path, "tau_ns,g2,sigma,raw", columns, "%.17g,%.17g,%.17g,%d", meta)
 
-
-def read_histogram_csv(path) -> G2Histogram:
-    """Read a histogram CSV written by :func:`write_histogram_csv`."""
-    table = read_table(
-        path, {_HISTOGRAM_HEADER: (float, float, float, count)}, _HISTOGRAM_META, min_rows=1
-    )
-    meta = table.meta
-    if meta.keys() != _HISTOGRAM_META.keys():
-        raise FormatError("histogram CSV is missing its metadata comment", offset=1)
-    tau, g2, sigma, raw = table.columns
-    if len(raw) % 2 == 0:
-        raise FormatError(f"{len(raw)} bins, expected an odd number", offset=table.lines[-1])
-    res = meta["resolution_ps"] * 1e-12
-    ticks = meta["bin_width_ps"] * 1e-12 / res
-    bin_ticks = int(round(ticks)) if ticks < 2**62 else 0
-    if bin_ticks < 1:
-        raise FormatError(f"bin width of {ticks!r} ticks is not in 1..2**62", offset=1)
-    coverage = _bins(bin_ticks, len(raw) // 2)[3]
-    normalizer = (
-        meta["rate_a_cps"] * meta["rate_b_cps"] * (coverage * res) * meta["total_time_s"]
-    )
-    return G2Histogram(
-        bin_width=meta["bin_width_ps"] * 1e-12,
-        window=meta["window_ps"] * 1e-12,
-        tau=np.asarray(tau) * 1e-9,
-        g2=np.asarray(g2),
-        sigma=np.asarray(sigma),
-        raw=np.asarray(raw, dtype=np.int64),
-        normalizer=normalizer,
-        rate_a=meta["rate_a_cps"],
-        rate_b=meta["rate_b_cps"],
-        total_time=meta["total_time_s"],
-        resolution=res,
-        flags={},
-    )

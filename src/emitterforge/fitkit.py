@@ -52,9 +52,10 @@ class FitProblem:
     lower, upper : array_like or None
         Box bounds; steps are projected back onto the box.
 
-    A non-finite data value, or a sigma that is not positive or whose
-    square overflows (its weight ``1 / sigma**2`` would read 0), raises
-    :class:`DomainError` here, once per fit.
+    A non-finite data value, a sigma that is not positive or whose square
+    overflows (its weight ``1 / sigma**2`` would read 0), or a value with
+    ``|y| >= 2**500 * sigma`` (the normal equations of its weighted
+    residual would overflow) raises :class:`DomainError` here, once per fit.
     """
 
     model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]]
@@ -68,9 +69,11 @@ class FitProblem:
         self.y = np.asarray(self.y, dtype=float)
         self.sigma = np.broadcast_to(np.asarray(self.sigma, dtype=float), self.y.shape)
         # comparisons only, so the check cannot overflow: sigma**2 is finite
-        # exactly below 2**512, and 1 / sigma**2 is then above 0
-        in_range = (self.sigma > 0.0) & (self.sigma < 2.0**512)
-        if not (np.all(np.isfinite(self.y)) and np.all(in_range)):
+        # exactly below 2**512, and 1 / sigma**2 is then above 0; the |y|
+        # test runs last, where 2**500 * sigma is below 2**1012
+        weighted = np.all((self.sigma > 0.0) & (self.sigma < 2.0**512))
+        if not (np.all(np.isfinite(self.y)) and weighted
+                and np.all(np.abs(self.y) < 2.0**500 * self.sigma)):
             raise DomainError("values to fit or their weights are out of float range")
 
 
@@ -94,9 +97,6 @@ class FitOutcome:
     cost: float
     message: str = ""
     flags: dict = field(default_factory=dict)
-
-    def param_sigma(self) -> np.ndarray:
-        return standard_errors(self.covariance, self.params.size)
 
 
 def standard_errors(covariance: np.ndarray | None, n: int) -> np.ndarray:

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .tables import read_table, write_table
+from .tables import write_table
 from .units import ELEMENTARY_CHARGE, FWHM_PER_SIGMA
 
-_PATTERN_HEADER = "label,x_um,y_um,expected_ions"
 
 #: Per-row mean ion doses of the standard 15-row dose ladder (ions/spot).
 FIB_ROW_DOSES = (6, 9, 13, 16, 25, 33, 45, 61, 83, 113, 153, 208, 283, 384, 500)
@@ -280,16 +279,4 @@ def write_pattern_csv(pattern: ImplantPattern, path) -> None:
     """Write sites as ``label,x_um,y_um,expected_ions`` (numbers at 17 digits)."""
     rows = [(s.label, s.x * 1e6, s.y * 1e6, s.expected_ions) for s in pattern.sites]
     meta = {"kind": pattern.kind, "pitch_um": pattern.pitch * 1e6}
-    write_table(path, _PATTERN_HEADER, zip(*rows), "%s,%.17g,%.17g,%.17g", meta)
-
-
-def read_pattern_csv(path) -> ImplantPattern:
-    """Read a pattern CSV written by :func:`write_pattern_csv`."""
-    meta = {"kind": str, "pitch_um": float}
-    table = read_table(path, {_PATTERN_HEADER: (str, float, float, float)}, meta, min_rows=1)
-    sites = [
-        ImplantSite(label, x * 1e-6, y * 1e-6, ions)
-        for label, x, y, ions in zip(*table.columns)
-    ]
-    pitch = table.meta["pitch_um"] * 1e-6 if "pitch_um" in table.meta else DEFAULT_PITCH
-    return ImplantPattern(kind=table.meta.get("kind", "custom"), sites=sites, pitch=pitch)
+    write_table(path, "label,x_um,y_um,expected_ions", zip(*rows), "%s,%.17g,%.17g,%.17g", meta)

@@ -1,4 +1,5 @@
-"""The package's one CSV dialect: every text table is read and written here.
+"""The package's one CSV dialect: every text table is written here, and
+every one the package reads back is read here.
 
 A table is UTF-8 text. ``#`` comment lines and blank lines may appear
 anywhere, and ``key=value`` tokens in comments are metadata. The first other
@@ -12,7 +13,6 @@ missing rows).
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,23 +36,9 @@ def count(text: str) -> int:
     return value
 
 
-def positive(text: str) -> float:
-    """A finite number above zero."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{text!r} is not a finite positive number")
-    return value
-
-
-def optional(parse: Parser) -> Parser:
-    """Parser that reads an empty field as None and any other with ``parse``."""
-    return lambda text: parse(text) if text else None
-
-
 class Table(NamedTuple):
     header: str | None  # the header found; None for a headerless table
     columns: list[list]  # parsed values, one list per column
-    lines: list[int]  # physical line number of each row
     meta: dict  # parsed values of the wanted metadata keys that were found
 
 
@@ -76,7 +62,6 @@ def read_table(path, headers: dict, meta: dict | None = None, min_rows: int = 0)
     header = parsers = None
     found: dict = {}
     rows: list[list] = []
-    lines: list[int] = []
     for lineno, raw in enumerate(raw_lines, start=1):
         try:
             line = raw.decode("utf-8").strip()
@@ -110,14 +95,13 @@ def read_table(path, headers: dict, meta: dict | None = None, min_rows: int = 0)
             for column in zip(parsers, fields, names):
                 _parse(*column, lineno)
             raise
-        lines.append(lineno)
     end = len(raw_lines) + 1
     if parsers is None and None not in headers:
         raise FormatError(f"no header, expected one of {list(headers)}", offset=end)
     if len(rows) < min_rows:
         raise FormatError(f"expected at least {min_rows} rows, found {len(rows)}", offset=end)
     columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in headers[header]]
-    return Table(header, columns, lines, found)
+    return Table(header, columns, found)
 
 
 def write_table(path, header: str, columns, fmt: str, meta: dict | None = None) -> None:

@@ -18,9 +18,7 @@ from emitterforge.analysis import (
     fit_saturation,
     read_saturation_csv,
     read_spectrum_csv,
-    read_spot_table,
     saturation_model,
-    saturation_model_gradient,
     write_saturation_csv,
     write_spectrum_csv,
     write_spot_table,
@@ -28,6 +26,7 @@ from emitterforge.analysis import (
 from emitterforge.errors import DomainError, ZeroSignalWarning
 from emitterforge.fitkit import finite_difference_jacobian
 from emitterforge.photonsim import DecayHistogram
+from written import read_written
 
 
 def _gauss(x, center, amp, sigma):
@@ -149,7 +148,7 @@ def test_saturation_gradient_matches_fd():
             return saturation_model(p_uw, theta[0], theta[1], theta[2])
 
         jac_fd = finite_difference_jacobian(residual, np.array([sat, p0, slope]))
-        jac_an = saturation_model_gradient(p_uw, sat, p0, slope)
+        jac_an = analysis._saturation_gradient(p_uw, sat, p0, slope)
         assert np.allclose(jac_an, jac_fd, rtol=1e-5, atol=1e-6)
 
 
@@ -408,11 +407,13 @@ def test_spot_table_round_trip(tmp_path):
     ]
     p = tmp_path / "spots.csv"
     write_spot_table(spots, [1, 2], p)
-    back_spots, back_estimates = read_spot_table(p)
-    assert [s.label for s in back_spots] == ["A1", "B2"]
-    assert back_spots[0].n_emitters_g2 == 1
-    assert back_spots[1].n_emitters_g2 is None
-    assert back_estimates == [1, 2]
+    meta, rows = read_written(p)
+    assert meta == {}
+    assert [(r["label"], float(r["rate_cps"]), float(r["background_cps"])) for r in rows] == [
+        (s.label, s.rate, s.background) for s in spots
+    ]
+    # None renders as an empty field
+    assert [(r["n_g2"], r["n_estimated"]) for r in rows] == [("1", "1"), ("", "2")]
 
 
 def test_spectrum_csv_round_trip(tmp_path):

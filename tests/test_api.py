@@ -1,11 +1,17 @@
 """The public API surface: every name in ``emitterforge.__all__`` and the
 parameter names of each public callable, dataclass constructor and public
 method. A new option or entry point, or a removed one, shows up as a diff
-of the table below; edit it together with the API.
+of the table below; edit it together with the API. Every public name has a
+caller outside the tests.
 """
+import ast
 import inspect
+import re
+from pathlib import Path
 
 import emitterforge
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # None: a class whose constructor is the built-in one of its base (an
 # exception or warning without its own __init__)
@@ -78,11 +84,8 @@ API = {
     "parse_quantity": ("text", "kind", "key"),
     "poisson_pmf": ("mu", "m"),
     "read_decay_csv": ("path",),
-    "read_histogram_csv": ("path",),
-    "read_pattern_csv": ("path",),
     "read_saturation_csv": ("path",),
     "read_spectrum_csv": ("path", "zpl_wavelength"),
-    "read_spot_table": ("path",),
     "read_timetags": ("path",),
     "rho_from_rates": ("spot_rate", "background_rate"),
     "run_detection": ("stream", "split_ratio", "det_a", "det_b", "seed"),
@@ -135,3 +138,27 @@ def test_all_is_pinned():
 
 def test_parameters_are_pinned():
     assert dict(_surface()) == API
+
+
+def _used_names():
+    """Every ``Name`` id and ``Attribute`` attr in the package (except its
+    ``__init__.py``), the bench and the demos, and every word of the CI
+    workflows."""
+    package = ROOT / "src" / "emitterforge"
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    for workflow in (ROOT / ".github" / "workflows").glob("*.yml"):
+        used.update(re.findall(r"\w+", workflow.read_text(encoding="utf-8")))
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    used = _used_names()
+    assert [name for name in emitterforge.__all__ if name not in used] == []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from emitterforge.errors import ConfigError, DomainError, FormatError
+from emitterforge.errors import ConfigError, DomainError
 from emitterforge.implantation import (
     FIB_ROW_DOSES,
     BeamConfig,
@@ -13,11 +13,11 @@ from emitterforge.implantation import (
     dwell_time_for_ions,
     expected_ions_through_hole,
     ions_per_spot,
-    read_pattern_csv,
     sample_ion_counts,
     sample_ion_positions,
     write_pattern_csv,
 )
+from written import read_written
 
 
 def test_ions_per_spot_hand_arithmetic():
@@ -140,19 +140,9 @@ def test_pattern_csv_round_trip(tmp_path):
     pattern = build_pattern("fib_grid", pitch=7.5e-6, rows=3)
     p = tmp_path / "pattern.csv"
     write_pattern_csv(pattern, p)
-    back = read_pattern_csv(p)
-    assert back.kind == "fib_grid"
-    assert back.pitch == pytest.approx(pattern.pitch)
-    assert len(back.sites) == len(pattern.sites)
-    for a, b in zip(pattern.sites, back.sites):
-        assert a.label == b.label
-        assert a.x == pytest.approx(b.x, abs=1e-12)
-        assert a.expected_ions == pytest.approx(b.expected_ions, rel=1e-9)
-
-
-def test_pattern_csv_bad_line_offset(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("# kind=fib_grid pitch_um=10\nlabel,x_um,y_um,expected_ions\nA1,0,0,notanumber\n")
-    with pytest.raises(FormatError) as err:
-        read_pattern_csv(p)
-    assert err.value.offset == 3
+    meta, rows = read_written(p)
+    assert meta.keys() == {"kind", "pitch_um"} and meta["kind"] == "fib_grid"
+    assert float(meta["pitch_um"]) == pattern.pitch * 1e6
+    columns = ("x_um", "y_um", "expected_ions")
+    written = [(r["label"], *(float(r[c]) for c in columns)) for r in rows]
+    assert written == [(s.label, s.x * 1e6, s.y * 1e6, s.expected_ions) for s in pattern.sites]

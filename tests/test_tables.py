@@ -1,5 +1,6 @@
 """The text tables: writer bytes, the shared dialect, reader errors and a
-reader fuzz.
+reader fuzz. Patterns, g2 histograms and spot tables are written only; the
+round-trip tests of their writers parse the bytes with the ``csv`` module.
 
 The writer digests below were taken before the readers and writers moved
 onto the shared CSV layer (``emitterforge.tables``), so they show that every
@@ -25,15 +26,14 @@ from emitterforge.analysis import (
     SpotMeasurement,
     read_saturation_csv,
     read_spectrum_csv,
-    read_spot_table,
     write_saturation_csv,
     write_spectrum_csv,
     write_spot_table,
 )
 from emitterforge.cli import _read_counts, main
-from emitterforge.correlator import G2Histogram, read_histogram_csv, write_histogram_csv
+from emitterforge.correlator import G2Histogram, write_histogram_csv
 from emitterforge.errors import ConfigError, DomainError, FormatError
-from emitterforge.implantation import build_pattern, read_pattern_csv, write_pattern_csv
+from emitterforge.implantation import build_pattern, write_pattern_csv
 from emitterforge.photonsim import DecayHistogram, read_decay_csv, write_decay_csv
 
 # ------------------------------------------------------------ writer bytes
@@ -147,11 +147,9 @@ def test_tables_are_utf8_whatever_the_locale(tmp_path):
     counts.write_text("0\n1\n1\n2\n")
     script = (
         "import sys\n"
-        "from emitterforge.analysis import SpotMeasurement, read_spot_table, write_spot_table\n"
+        "from emitterforge.analysis import SpotMeasurement, write_spot_table\n"
         "from emitterforge.cli import main\n"
         f"write_spot_table([SpotMeasurement('\\u00b5spot', 2.0, 1.0)], [1], {str(table)!r})\n"
-        f"spots, estimates = read_spot_table({str(table)!r})\n"
-        "assert spots[0].label == '\\u00b5spot' and estimates == [1], spots\n"
         f"sys.exit(main(['stats', {str(counts)!r}, '--out', {str(tmp_path / 'dist.csv')!r}]))\n"
     )
     src = str(Path(emitterforge.__file__).resolve().parents[1])
@@ -169,22 +167,9 @@ def test_tables_are_utf8_whatever_the_locale(tmp_path):
 DECAY_META = "# n_pulses=10 bin_width_ns=1\n"
 DECAY_ROWS = "time_ns,counts\n0.5,1\n1.5,2\n"
 SPECTRUM_ROWS = "wavelength_nm,intensity\n1270,1\n1271,2\n1272,1\n"
-HIST_META = (
-    "# bin_width_ps=3000 window_ps=3000 rate_a_cps=10 rate_b_cps=10 "
-    "total_time_s=1 resolution_ps=1\n"
-)
-HIST_ROWS = "-3,1,1,9\n0,0.5,0.5,4\n3,1,1,9\n"
 
 
-def _hist(**meta):
-    """Histogram metadata and header, with the given metadata values."""
-    text = HIST_META
-    for key, value in meta.items():
-        text = re.sub(rf"{key}=\S+", f"{key}={value}", text)
-    return text + "tau_ns,g2,sigma,raw\n"
-
-
-@pytest.mark.parametrize("text", ["1.7", "-2", "1e400", "nan", "x"])
+@pytest.mark.parametrize("text", ["1.7", "-2", "1e400", "nan", "x", str(2**63)])
 def test_decay_count_must_be_a_count(tmp_path, text):
     p = tmp_path / "decay.csv"
     p.write_text(DECAY_META + f"time_ns,counts\n0.5,1\n1.5,{text}\n")
@@ -199,18 +184,12 @@ def test_decay_count_may_be_an_integral_float(tmp_path):
     assert read_decay_csv(p).counts.tolist() == [12, 1000]
 
 
-def test_histogram_raw_may_be_an_integral_float(tmp_path):
-    p = tmp_path / "g2.csv"
-    p.write_text(_hist() + "-3,1,1,9\n0,0.5,0.5,4.0\n3,1,1,9\n")
-    assert read_histogram_csv(p).raw.tolist() == [9, 4, 9]
-
-
 @pytest.mark.parametrize(
     "read, text",
     [
         (read_spectrum_csv, "# zpl_nm=1278\n1270,1\n1271,2\n"),
-        (read_pattern_csv, "# kind=custom\nA1,0,0,1\n"),
-        (read_histogram_csv, HIST_META + HIST_ROWS),
+        (read_saturation_csv, "# x\n1,10\n2,20\n"),
+        (read_decay_csv, DECAY_META + "0.5,1\n1.5,2\n"),
     ],
 )
 def test_header_is_required(tmp_path, read, text):
@@ -222,10 +201,10 @@ def test_header_is_required(tmp_path, read, text):
 
 
 def test_comments_and_blank_lines_anywhere(tmp_path):
-    p = tmp_path / "spots.csv"
-    p.write_text("# census\nlabel,rate_cps,background_cps,n_g2,n_estimated\n# x\nA1,5,1,,2\n")
-    spots, estimates = read_spot_table(p)
-    assert [s.label for s in spots] == ["A1"] and estimates == [2]
+    p = tmp_path / "decay.csv"
+    p.write_text("# n_pulses=10\n\ntime_ns,counts\n# bin_width_ns=2\n0.5,1\n\n# x\n1.5,2\n")
+    hist = read_decay_csv(p)
+    assert hist.counts.tolist() == [1, 2] and (hist.n_pulses, hist.bin_width) == (10, 2e-9)
 
 
 # --------------------------------------------- malformed input ends in exit 4
@@ -234,24 +213,16 @@ def test_comments_and_blank_lines_anywhere(tmp_path):
 MALFORMED = {
     "decay_n_pulses": (read_decay_csv, "decay", "# n_pulses=abc\n" + DECAY_ROWS, 1),
     "decay_count_1e400": (read_decay_csv, "decay", DECAY_META + DECAY_ROWS + "2.5,1e400\n", 5),
+    "decay_one_row": (read_decay_csv, None, DECAY_META + "time_ns,counts\n0.5,1\n", 4),
     "dw_zpl_nm": (read_spectrum_csv, "dw", "# zpl_nm=abc\n" + SPECTRUM_ROWS, 1),
-    "pattern_pitch_um": (
-        read_pattern_csv, None, "# pitch_um=abc\nlabel,x_um,y_um,expected_ions\nA1,0,0,1\n", 1
+    "saturation_rate_abc": (
+        read_saturation_csv, "saturation", "power_uw,rate_cps\n1,10\n2,abc\n", 3
     ),
     "stats_1e400": (_read_counts, "stats", "0\n1\n1e400\n", 3),
     "decay_not_utf8": (read_decay_csv, "decay", b"\xff" + DECAY_ROWS.encode(), 1),
     "dw_not_utf8": (read_spectrum_csv, "dw", b"\xff" + SPECTRUM_ROWS.encode(), 1),
     "saturation_not_utf8": (read_saturation_csv, "saturation", b"\xffpower_uw,rate_cps\n", 1),
     "stats_not_utf8": (_read_counts, "stats", b"\xff0\n1\n", 1),
-    "histogram_resolution_zero": (read_histogram_csv, None, _hist(resolution_ps=0) + HIST_ROWS, 1),
-    "histogram_no_rows": (read_histogram_csv, None, _hist(), 3),
-    "histogram_even_rows": (read_histogram_csv, None, _hist() + HIST_ROWS + "6,1,1,9\n", 6),
-    "histogram_bin_past_2**62_ticks": (
-        read_histogram_csv, None, _hist(bin_width_ps="1e300", resolution_ps="1e-300") + HIST_ROWS, 1
-    ),
-    "histogram_bin_below_a_tick": (
-        read_histogram_csv, None, _hist(bin_width_ps=0.4) + HIST_ROWS, 1
-    ),
 }
 
 
@@ -273,23 +244,16 @@ def test_malformed_input_is_format_error_and_exit_4(tmp_path, capsys, case):
 # reader and one valid file for it; the fuzz edits these files token by
 # token, so it reaches the checks made after a table has been read
 READERS = {
-    "pattern": (
-        read_pattern_csv,
-        "# kind=custom pitch_um=10\nlabel,x_um,y_um,expected_ions\nA1,0,0,1\nB1,10,0,2\n",
-    ),
     "spectrum": (read_spectrum_csv, "# zpl_nm=1278\n" + SPECTRUM_ROWS),
     "saturation": (read_saturation_csv, "power_uw,rate_cps,sigma_cps\n1,10,1\n2,20,1\n"),
     "decay": (read_decay_csv, DECAY_META + DECAY_ROWS),
-    "histogram": (read_histogram_csv, _hist() + HIST_ROWS),
-    "spot_table": (
-        read_spot_table,
-        "label,rate_cps,background_cps,n_g2,n_estimated\nA1,5,1,,2\nB1,6,1,1,\n",
-    ),
     "stats": (
         _read_counts,
         "# config_hash=x seed=1\nlabel,n_ions,n_centers,rate_a_cps,rate_b_cps\nA1,3,1,10,10\n",
     ),
 }
+# the headers and metadata keys of every table the package writes, so a
+# reader also meets the tables it does not read
 HEADERS = [
     "label,x_um,y_um,expected_ions",
     "wavelength_nm,intensity",
