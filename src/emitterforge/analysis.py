@@ -534,7 +534,6 @@ def debye_waller(
             baseline=(b0 * y_scale, b1 * y_scale),
             reduced_chi2=float("nan"),
             converged=True,
-            flags={"method": "window"},
         )
 
     if n_psb < 1:

@@ -3,7 +3,7 @@
 Subcommands: pattern, simulate, g2, stats, saturation, decay, dw. Each
 run is deterministic given its config file and seed; the seed resolves as
 ``--seed`` flag, then ``[run] seed`` in the config, then the
-EMITTERFORGE_SEED environment variable.
+EMITTERFORGE_SEED environment variable, and must be nonnegative.
 
 Exit codes: 0 success, 2 configuration error or invalid value (out of
 memory included), 3 I/O error, 4 data format error, 5 fit failure. A
@@ -47,7 +47,7 @@ from .photonsim import (
 )
 from .tables import count, read_table, write_table
 from .timetags import _resolution_ps, merge_streams, read_timetags, write_timetags
-from .units import parse_quantity
+from .units import parse_int, parse_quantity
 
 SEED_ENV_VAR = "EMITTERFORGE_SEED"
 MANIFEST_HEADER = "label,n_ions,n_centers,rate_a_cps,rate_b_cps"
@@ -65,22 +65,20 @@ def _default(function, name: str):
     return inspect.signature(function).parameters[name].default
 
 
-def _resolve_seed(flag_seed: int | None, cfg: RunConfig | None) -> int:
+def _resolve_seed(flag_seed: int | None, cfg: RunConfig) -> int:
     if flag_seed is not None:
-        return flag_seed
-    if cfg is not None and cfg.has("run", "seed"):
-        return cfg.get("run", "seed")
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(
-                f"{SEED_ENV_VAR} must be an integer, got {env!r}", key="seed"
-            ) from None
-    raise ConfigError(
-        f"no seed: pass --seed, set [run] seed, or export {SEED_ENV_VAR}", key="seed"
-    )
+        seed = flag_seed
+    elif cfg.has("run", "seed"):
+        seed = cfg.get("run", "seed")
+    elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
+        seed = parse_int(env, key=SEED_ENV_VAR)
+    else:
+        raise ConfigError(
+            f"no seed: pass --seed, set [run] seed, or export {SEED_ENV_VAR}", key="seed"
+        )
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}", key="seed")
+    return seed
 
 
 def _report(lines, flags, converged: bool, failure: str) -> int:
@@ -333,9 +331,8 @@ def _cmd_dw(args) -> int:
         f"component {center * 1e9:.4f}nm amp {amplitude:.6g} area {area:.6g}"
         for center, amplitude, sigma, area in result.components
     ]
-    lines.append(f"method {result.flags.get('method', 'fit')}")
-    flags = [flag for flag in result.flags if flag != "method"]
-    return _report(lines, flags, result.converged, "spectrum fit did not converge")
+    lines.append(f"method {args.method}")
+    return _report(lines, result.flags, result.converged, "spectrum fit did not converge")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -353,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate per-site photon streams + manifest")
     p.add_argument("config")
     p.add_argument("out_dir")
-    p.add_argument("--seed", type=int, default=None, help="overrides config/env seed")
+    p.add_argument("--seed", type=parse_int, default=None, help="overrides config/env seed")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("g2", help="correlate a two-channel tag file and fit the dip")
@@ -366,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="defect-count distribution from manifest or counts")
     p.add_argument("input", help="simulate manifest CSV or one count per line")
-    p.add_argument("--k", type=int, default=None, help="successes consumed per center, for --fit-mu (default 1)")
+    p.add_argument("--k", type=parse_int, default=None, help="successes consumed per center, for --fit-mu (default 1)")
     p.add_argument("--fit-mu", action="store_true", help="fit the composite-Poisson mu")
     p.add_argument("--out", default=None, help="distribution CSV path (default stdout)")
     p.set_defaults(func=_cmd_stats)
@@ -384,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("csvfile", help="wavelength_nm,intensity")
     p.add_argument("--zpl", type=_quantity("length"), default=None, help="ZPL wavelength (e.g. '1278 nm')")
     p.add_argument("--halfwidth", type=_quantity("length"), default=6e-9, help="ZPL window halfwidth")
-    p.add_argument("--psb", type=int, default=_default(debye_waller, "n_psb"), help="number of side-band components")
+    p.add_argument("--psb", type=parse_int, default=_default(debye_waller, "n_psb"), help="number of side-band components")
     p.add_argument("--method", choices=("fit", "window"), default=_default(debye_waller, "method"))
     p.set_defaults(func=_cmd_dw)
     return parser

@@ -59,7 +59,6 @@ class G2Histogram:
     rate_b: float
     total_time: float
     resolution: float
-    flags: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -121,7 +120,7 @@ def correlate(
 
     The normalizer ``rate_a * rate_b * bin_coverage * total_time`` makes an
     uncorrelated (Poisson) pair average to g2 = 1. A window longer than the
-    acquisition is allowed but flagged ('window_exceeds_duration').
+    acquisition is allowed, with a warning.
 
     Channel A is correlated in parts of at most ``_A_CHUNK`` (200,000)
     starts, each against the slice of B within its reach; the parts bound
@@ -154,6 +153,10 @@ def correlate(
     total_time = max(a.duration, b.duration)
     if total_time <= 0:
         raise DomainError("streams have zero duration")
+    if window > total_time:
+        warnings.warn(
+            f"window {window:g} s is longer than the {total_time:g} s acquisition", stacklevel=2
+        )
 
     n_bins = 2 * m_bins + 1
     # pairs reach out to the window's outer bin edge, but no delay is
@@ -216,7 +219,6 @@ def correlate(
             rate_b=rate_b,
             total_time=total_time,
             resolution=res,
-            flags={"window_exceeds_duration": True} if window > total_time else {},
         )
     except MemoryError:
         raise DomainError(
@@ -285,11 +287,9 @@ class _BinnedDip:
         return e0 * geo, e0 * (self._t0 * geo + self._h_bin * geo_j) / (tau * tau)
 
     def __call__(self, p: np.ndarray):
-        """Bin-averaged :func:`g2_model` and its Jacobian; the value is
-        non-finite outside the model's domain."""
+        """Bin-averaged :func:`g2_model` and its Jacobian at a point of
+        :func:`fit_g2`'s box."""
         n, a = p[0], p[1]
-        if p[2] <= 0.0 or p[3] <= 0.0 or n < 1.0:
-            return np.full(self._t0.shape, np.inf), None
         e1, d1 = self._exp_means(p[2] * self._scale)
         e2, d2 = self._exp_means(p[3] * self._scale)
         cols = (
@@ -387,9 +387,9 @@ def rho_from_rates(spot_rate: float, background_rate: float) -> float:
 def background_correct(hist: G2Histogram, rho: float) -> G2Histogram:
     """Remove uncorrelated background: g_corr = (g - (1 - rho^2)) / rho^2.
 
-    Returns a new histogram with sigma scaled by 1/rho^2. Values below zero
-    after correction are possible with noisy data and set the 'below_zero'
-    flag; rho below ``RHO_FLOOR`` (0.1) triggers a reliability warning.
+    Returns a new histogram with sigma scaled by 1/rho^2; with noisy data
+    some corrected values may fall below zero. rho below ``RHO_FLOOR`` (0.1)
+    triggers a reliability warning.
     """
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"rho must be in (0, 1], got {rho}")
@@ -399,20 +399,14 @@ def background_correct(hist: G2Histogram, rho: float) -> G2Histogram:
             CorrectionWarning,
         )
     rho2 = rho * rho
-    corrected = (hist.g2 - (1.0 - rho2)) / rho2
-    out = replace(
+    return replace(
         hist,
         tau=hist.tau.copy(),
-        g2=corrected,
+        g2=(hist.g2 - (1.0 - rho2)) / rho2,
         sigma=hist.sigma / rho2,
         raw=hist.raw.copy(),
         normalizer=hist.normalizer * rho2,
-        flags=dict(hist.flags),
     )
-    out.flags["background_corrected"] = rho
-    if np.any(corrected < 0):
-        out.flags["below_zero"] = True
-    return out
 
 
 def max_emitters_from_g2(g2_zero: float) -> int | None:

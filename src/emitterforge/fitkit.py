@@ -2,16 +2,17 @@
 
 All model fits in this package go through :func:`least_squares`, a
 Levenberg-Marquardt loop with box-bound projection. A :class:`FitProblem`
-holds one model callback and the data it is fitted to: ``model(p)``
-returns the model at every data point together with its analytic
-Jacobian, and fitkit weights both by ``sigma`` itself, so the covariance
-and reduced chi-square come out in natural units. Each trial point costs
-one model call, and the Jacobian of the accepted point is the one kept. A
-non-finite model value marks a point outside the model's domain; its
-Jacobian is not read. :func:`finite_difference_jacobian` is kept as a
-reference to check an analytic Jacobian against. Every fit stops on the
-constants ``MAX_ITERATIONS`` (200), ``COST_TOL`` (1e-10) and
-``GRADIENT_TOL`` (1e-10).
+holds one model callback and the data it is fitted to, inside a box of
+bounds that is the model's domain: ``model(p)`` returns the model at every
+data point together with its analytic Jacobian, and fitkit weights both by
+``sigma`` itself, so the covariance and reduced chi-square come out in
+natural units. Each trial point costs one model call, and the Jacobian of
+the accepted point is the one kept. A trial point whose model value is not
+finite (an overflow) is rejected; its Jacobian is not read.
+:func:`finite_difference_jacobian` is kept as a reference to check an
+analytic Jacobian against. Every fit stops on the constants
+``MAX_ITERATIONS`` (200), ``COST_TOL`` (1e-10) and ``GRADIENT_TOL``
+(1e-10).
 """
 from __future__ import annotations
 
@@ -42,15 +43,16 @@ class FitProblem:
     model : callable
         Maps a parameter vector to ``(value, jacobian)``: the model at the m
         data points and its m x n Jacobian. A value with a non-finite entry
-        marks a point outside the model's domain; its Jacobian may be None.
+        rejects the trial point; its Jacobian may then be None.
     y : array_like
         The m data points.
     sigma : array_like or float
         Their standard deviations, per point or one for all.
     x0 : array_like
         Initial parameter values.
-    lower, upper : array_like or None
-        Box bounds; steps are projected back onto the box.
+    lower, upper : array_like
+        Box bounds (infinite for a free parameter); steps are projected
+        back onto the box. The box must lie inside the model's domain.
 
     A non-finite data value, a sigma that is not positive or whose square
     overflows (its weight ``1 / sigma**2`` would read 0), or a value with
@@ -62,8 +64,8 @@ class FitProblem:
     y: np.ndarray
     sigma: np.ndarray | float
     x0: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -186,15 +188,11 @@ def least_squares(problem: FitProblem) -> FitOutcome:
     carrying the best point seen.
     """
     y, sigma = problem.y, problem.sigma
-    lower = None if problem.lower is None else np.asarray(problem.lower, dtype=float)
-    upper = None if problem.upper is None else np.asarray(problem.upper, dtype=float)
+    lower = np.asarray(problem.lower, dtype=float)
+    upper = np.asarray(problem.upper, dtype=float)
 
     def project(p: np.ndarray) -> np.ndarray:
-        if lower is not None:
-            p = np.maximum(p, lower)
-        if upper is not None:
-            p = np.minimum(p, upper)
-        return p
+        return np.minimum(np.maximum(p, lower), upper)
 
     def evaluate(p: np.ndarray):
         """Weighted residual at ``p`` and the model's Jacobian there."""
@@ -207,14 +205,6 @@ def least_squares(problem: FitProblem) -> FitOutcome:
         raise DomainError("residual is non-finite at the initial point")
     cost = float(np.dot(r, r))
 
-    def blocked(grad: np.ndarray) -> np.ndarray:
-        mask = np.zeros(x.size, dtype=bool)
-        if lower is not None:
-            mask |= (x <= lower) & (grad > 0)
-        if upper is not None:
-            mask |= (x >= upper) & (grad < 0)
-        return mask
-
     lam = DAMPING_INIT
     iterations = 0
     converged = False
@@ -225,7 +215,7 @@ def least_squares(problem: FitProblem) -> FitOutcome:
         grad = jac.T @ r
         # parameters pinned at a bound with the gradient pushing outward
         # are frozen for this step; convergence is judged on the rest
-        free = ~blocked(grad)
+        free = ~(((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0)))
         proj_grad = np.where(free, grad, 0.0)
         if np.max(np.abs(proj_grad), initial=0.0) < GRADIENT_TOL:
             converged = True

@@ -18,19 +18,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import FormatError
+from .units import parse_int
 
 Parser = Callable[[str], object]
 
 
 def count(text: str) -> int:
-    """An integer in 0..2**63-1, written as an integer or as an integral float."""
-    try:
-        value = int(text)
-    except ValueError:
-        number = float(text)
-        if not number.is_integer():
-            raise ValueError(f"{text!r} is not a whole number") from None
-        value = int(number)
+    """An integer in 0..2**63-1, read by :func:`.units.parse_int`."""
+    value = parse_int(text)
     if not 0 <= value < 2**63:
         raise ValueError(f"{value} is outside 0..2**63-1")
     return value

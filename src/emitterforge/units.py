@@ -88,12 +88,18 @@ def parse_quantity(text: str, kind: str, key: str | None = None) -> float:
 
 
 def parse_int(text: str, key: str | None = None) -> int:
-    """Parse an integer config value, rejecting anything with a fraction."""
+    """Parse an integer exactly: integer digits of any size, or another
+    number form ("1e3", "42.0") only when it is integral and below 2**53 in
+    magnitude, where a float holds every integer exactly."""
     where = f" for key {key!r}" if key else ""
     try:
-        as_float = float(text)
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        number = float(text)
     except ValueError:
         raise ConfigError(f"cannot parse integer {text!r}{where}", key=key) from None
-    if not math.isfinite(as_float) or as_float != int(as_float):
-        raise ConfigError(f"expected an integer, got {text!r}{where}", key=key)
-    return int(as_float)
+    if not (number.is_integer() and abs(number) < 2**53):
+        raise ConfigError(f"expected an exact integer, got {text!r}{where}", key=key)
+    return int(number)

@@ -41,7 +41,7 @@ API = {
     ),
     "G2Histogram": (
         "bin_width", "window", "tau", "g2", "sigma", "raw", "normalizer", "rate_a", "rate_b",
-        "total_time", "resolution", "flags",
+        "total_time", "resolution",
     ),
     "GaussianPeak": ("center", "amplitude", "fwhm"),
     "ImplantPattern": ("kind", "sites", "pitch"),

@@ -137,6 +137,36 @@ def test_simulate_no_seed_anywhere_exit_2(tmp_path, monkeypatch, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "environment"])
+def test_simulate_negative_seed_exit_2(source, tmp_path, monkeypatch, capfd):
+    ini = tmp_path / "neg.ini"
+    seed = "seed = -1\n" if source == "config" else ""
+    ini.write_text(BASE_INI.format(rows="rows = 1\n", seed=seed))
+    monkeypatch.setenv("EMITTERFORGE_SEED", "-1" if source == "environment" else "5")
+    out = tmp_path / "out"
+    argv = ["simulate", str(ini), str(out)] + (["--seed", "-1"] if source == "flag" else [])
+    assert main(argv) == 2
+    err = capfd.readouterr().err
+    assert err == "config error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed,recorded", [("9007199254740993", 9007199254740993), ("1e3", 1000)])
+def test_simulate_seed_is_read_alike_from_flag_and_config(seed, recorded, tmp_path):
+    # one integer rule for both: a seed past 2**53 is not rounded to a
+    # float's neighbour, and a number form the config accepts the flag does too
+    ini = tmp_path / "seed.ini"
+    ini.write_text(BASE_INI.format(rows="rows = 1\n", seed=f"seed = {seed}\n"))
+    by_config, by_flag = tmp_path / "config", tmp_path / "flag"
+    assert main(["simulate", str(ini), str(by_config)]) == 0
+    assert main(["simulate", str(ini), str(by_flag), "--seed", seed]) == 0
+    assert f"seed={recorded}" in (by_config / "manifest.csv").read_text().splitlines()[0]
+    names = sorted(p.name for p in by_config.iterdir())
+    assert names == sorted(p.name for p in by_flag.iterdir())
+    for name in names:
+        assert (by_config / name).read_bytes() == (by_flag / name).read_bytes()
+
+
 def test_simulate_zero_duration_valid_outputs(tmp_path):
     ini = tmp_path / "zero.ini"
     ini.write_text(
@@ -353,6 +383,20 @@ def test_main_restores_the_warning_display(single_emitter_file, tmp_path, capsys
     assert warnings.showwarning is before
 
 
+def test_g2_window_past_the_acquisition_warns(tmp_path, capsys):
+    path = tmp_path / "short.ttg"
+    em = EmitterModel(lifetime=50e-9, sat_power=150e-6, sat_rate=2e6)
+    det = DetectorModel(efficiency=0.3)
+    a, b = run_detection(simulate_emitter_tags(em, 150e-6, 2e-4, seed=77), 0.5, det, det, seed=78)
+    write_timetags(merge_streams(a, b), path)
+    argv = ["g2", str(path), "--bin", "10 us", "--window", "300 us", "--out", str(tmp_path / "h.csv")]
+    assert main(argv) == 0
+    total_time = read_timetags(path).duration
+    assert capsys.readouterr().err == (
+        f"warning: window 0.0003 s is longer than the {total_time:g} s acquisition\n"
+    )
+
+
 def test_g2_truncated_file_exit_4(single_emitter_file, tmp_path, capsys):
     clipped = tmp_path / "clipped.ttg"
     clipped.write_bytes(single_emitter_file.read_bytes()[:100])
@@ -550,6 +594,9 @@ def test_dw_subcommand(tmp_path, capsys):
     # 5 + 3 * 200 parameters for 600 points: refused before any fit
     assert main(["dw", str(path), "--psb", "200"]) == 2
     assert "more than the 600 spectrum points" in capsys.readouterr().err
+    assert main(["dw", str(path), "--method", "window"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "method window" in out and not any(line.startswith("flag") for line in out)
 
 
 @pytest.mark.parametrize("command,first,write", [

@@ -25,7 +25,8 @@ def test_linear_problem_solved_in_one_step():
     truth = np.array([2.0, -1.0, 0.5])
     y = A @ truth
 
-    out = least_squares(FitProblem(lambda p: (A @ p, A), y, 1.0, x0=np.zeros(3)))
+    out = least_squares(FitProblem(lambda p: (A @ p, A), y, 1.0, x0=np.zeros(3),
+                                   lower=np.full(3, -np.inf), upper=np.full(3, np.inf)))
     assert out.converged
     assert out.iterations <= 3
     assert out.params == pytest.approx(truth, abs=1e-8)
@@ -123,7 +124,8 @@ def test_nonfinite_column_flagged_not_fatal():
         bad = np.inf if p[1] != 1.0 else 0.0
         return np.array([p[0], bad]), np.array([[1.0, 0.0], [0.0, np.inf]])
 
-    out = least_squares(FitProblem(model, np.array([2.0, 0.0]), 1.0, x0=np.array([0.0, 1.0])))
+    out = least_squares(FitProblem(model, np.array([2.0, 0.0]), 1.0, x0=np.array([0.0, 1.0]),
+                                   lower=np.full(2, -np.inf), upper=np.full(2, np.inf)))
     assert out.params[0] == pytest.approx(2.0)
     assert "jacobian_flagged_columns" in out.flags
     assert 1 in out.flags["jacobian_flagged_columns"]
@@ -154,7 +156,8 @@ def test_optimum_on_bound_still_converges_with_covariance():
 
 def test_no_degrees_of_freedom_gives_none_covariance():
     out = least_squares(
-        FitProblem(lambda p: (p.copy(), np.array([[1.0]])), np.array([1.0]), 1.0, x0=np.array([0.0]))
+        FitProblem(lambda p: (p.copy(), np.array([[1.0]])), np.array([1.0]), 1.0, x0=np.array([0.0]),
+                   lower=np.full(1, -np.inf), upper=np.full(1, np.inf))
     )
     assert out.converged
     assert out.covariance is None
@@ -239,7 +242,8 @@ def test_per_point_sigma_weights_value_and_jacobian():
     sigma = 0.05 + 0.2 * t
     y = 1.0 + 2.0 * t + sigma * np.random.default_rng(5).standard_normal(t.size)
     design = np.column_stack([np.ones_like(t), t])
-    out = least_squares(FitProblem(lambda p: (design @ p, design), y, sigma, x0=np.zeros(2)))
+    out = least_squares(FitProblem(lambda p: (design @ p, design), y, sigma, x0=np.zeros(2),
+                                   lower=np.full(2, -np.inf), upper=np.full(2, np.inf)))
     weighted = design / sigma[:, None]
     expected = np.linalg.lstsq(weighted, y / sigma, rcond=None)[0]
     assert out.params == pytest.approx(expected, rel=1e-9)
@@ -255,7 +259,8 @@ def test_jacobian_outside_the_domain_is_not_read():
             return np.full(3, np.nan), None
         return np.full(3, np.log(p[0])), np.full((3, 1), 1.0 / p[0])
 
-    out = least_squares(FitProblem(model, np.full(3, np.log(0.01)), 1.0, x0=np.array([1.0])))
+    out = least_squares(FitProblem(model, np.full(3, np.log(0.01)), 1.0, x0=np.array([1.0]),
+                                   lower=np.full(1, -np.inf), upper=np.full(1, np.inf)))
     assert out.converged
     assert out.params[0] == pytest.approx(0.01, rel=1e-8)
 
@@ -270,7 +275,8 @@ def test_jacobian_outside_the_domain_is_not_read():
 ])
 def test_data_out_of_float_range_refused_without_overflow(y, sigma):
     with np.errstate(all="raise"), pytest.raises(DomainError, match="out of float range"):
-        FitProblem(lambda p: (np.full(2, p[0]), np.ones((2, 1))), y, sigma, x0=np.zeros(1))
+        FitProblem(lambda p: (np.full(2, p[0]), np.ones((2, 1))), y, sigma, x0=np.zeros(1),
+                   lower=np.full(1, -np.inf), upper=np.full(1, np.inf))
 
 
 def test_covariance_past_float_range_is_none_and_singular():
@@ -283,7 +289,7 @@ def test_covariance_past_float_range_is_none_and_singular():
 def test_largest_sigma_with_a_weight_is_accepted():
     sigma = np.nextafter(2.0**512, 0.0)
     problem = FitProblem(lambda p: (np.full(2, p[0]), np.ones((2, 1))), [1.0, 2.0], sigma,
-                         x0=np.zeros(1))
+                         x0=np.zeros(1), lower=np.full(1, -np.inf), upper=np.full(1, np.inf))
     with np.errstate(over="raise"):
         assert np.all(1.0 / problem.sigma**2 > 0.0)
 

@@ -69,3 +69,11 @@ def test_parse_int():
         parse_int("2.5")
     with pytest.raises(ConfigError):
         parse_int("seven")
+    # integer digits are read exactly at any size; another number form only
+    # where a float holds every integer, below 2**53
+    assert parse_int("9007199254740993") == 2**53 + 1
+    assert parse_int("1e3") == 1000
+    assert parse_int("-42.0") == -42
+    for text in ("9007199254740993.0", "9007199254740992.0", "1e16", "nan", "inf", "1.5e2.0"):
+        with pytest.raises(ConfigError):
+            parse_int(text)
