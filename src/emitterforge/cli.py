@@ -40,6 +40,7 @@ from .errors import ConfigError, DomainError, FormatError
 from .implantation import build_pattern, sample_ion_counts, write_pattern_csv
 from .photonsim import (
     DEFAULT_RESOLUTION,
+    _usable_cpus,
     read_decay_csv,
     run_detection,
     simulate_background_tags,
@@ -53,11 +54,21 @@ SEED_ENV_VAR = "EMITTERFORGE_SEED"
 MANIFEST_HEADER = "label,n_ions,n_centers,rate_a_cps,rate_b_cps"
 
 
-def _quantity(kind: str):
-    def parse(text: str) -> float:
-        return parse_quantity(text, kind)
+def _option(parse):
+    """``parse`` as an argparse type: a refused value prints the parser's
+    own message, not argparse's ``invalid <name> value``."""
 
-    return parse
+    def option(text: str):
+        try:
+            return parse(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return option
+
+
+def _quantity(kind: str):
+    return _option(functools.partial(parse_quantity, kind=kind))
 
 
 def _default(function, name: str):
@@ -130,13 +141,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _worker_count(n_sites: int) -> int:
-    """The CPUs this process may run on (``taskset`` limits them), capped
-    at the number of sites."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_sites))
+    """The CPUs this process may run on, capped at the number of sites."""
+    return max(1, min(_usable_cpus(), n_sites))
 
 
 def _site_chain() -> tuple:
@@ -350,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate per-site photon streams + manifest")
     p.add_argument("config")
     p.add_argument("out_dir")
-    p.add_argument("--seed", type=parse_int, default=None, help="overrides config/env seed")
+    p.add_argument("--seed", type=_option(parse_int), default=None, help="overrides config/env seed")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("g2", help="correlate a two-channel tag file and fit the dip")
@@ -363,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="defect-count distribution from manifest or counts")
     p.add_argument("input", help="simulate manifest CSV or one count per line")
-    p.add_argument("--k", type=parse_int, default=None, help="successes consumed per center, for --fit-mu (default 1)")
+    p.add_argument("--k", type=_option(parse_int), default=None, help="successes consumed per center, for --fit-mu (default 1)")
     p.add_argument("--fit-mu", action="store_true", help="fit the composite-Poisson mu")
     p.add_argument("--out", default=None, help="distribution CSV path (default stdout)")
     p.set_defaults(func=_cmd_stats)
@@ -381,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("csvfile", help="wavelength_nm,intensity")
     p.add_argument("--zpl", type=_quantity("length"), default=None, help="ZPL wavelength (e.g. '1278 nm')")
     p.add_argument("--halfwidth", type=_quantity("length"), default=6e-9, help="ZPL window halfwidth")
-    p.add_argument("--psb", type=parse_int, default=_default(debye_waller, "n_psb"), help="number of side-band components")
+    p.add_argument("--psb", type=_option(parse_int), default=_default(debye_waller, "n_psb"), help="number of side-band components")
     p.add_argument("--method", choices=("fit", "window"), default=_default(debye_waller, "method"))
     p.set_defaults(func=_cmd_dw)
     return parser

@@ -122,11 +122,13 @@ def merge_streams(*streams: TimeTagStream) -> TimeTagStream:
     position, so the result does not depend on how merging is parallelized.
 
     Every input is sorted by timestamp, so the concatenation is a sequence
-    of sorted runs, which a stable (run-merging) argsort by timestamp puts
-    in order; ties then keep their source order. If some tie is out of
-    channel order, a ``lexsort`` by timestamp, then channel, is taken
-    instead. Tags equal in timestamp and channel are identical records, so
-    neither sort needs the source position as a key.
+    of sorted runs, which a stable (run-merging) sort by timestamp puts in
+    order. Tags equal in timestamp and channel are identical records, so
+    no sort needs the source position as a key: when every tag has one
+    channel, the timestamps alone are sorted. Otherwise a stable argsort
+    by timestamp orders the records, ties keeping their source order, and
+    if some tie is then out of channel order, a ``lexsort`` by timestamp,
+    then channel, is taken instead.
     """
     if not streams:
         raise DomainError("need at least one stream")
@@ -136,12 +138,15 @@ def merge_streams(*streams: TimeTagStream) -> TimeTagStream:
             raise DomainError("streams have mismatched resolutions")
     channels = np.concatenate([s.channels for s in streams])
     timestamps = np.concatenate([s.timestamps for s in streams])
+    duration = max(s.duration for s in streams)
+    if not channels.size or (channels == channels[0]).all():
+        timestamps.sort(kind="stable")
+        return TimeTagStream._trusted(resolution, channels, timestamps, duration)
     order = np.argsort(timestamps, kind="stable")
     ch, ts = channels[order], timestamps[order]
     if np.any((ts[1:] == ts[:-1]) & (ch[1:] < ch[:-1])):
         order = np.lexsort((channels, timestamps))
         ch, ts = channels[order], timestamps[order]
-    duration = max(s.duration for s in streams)
     return TimeTagStream._trusted(resolution, ch, ts, duration)
 
 

@@ -151,6 +151,16 @@ def test_simulate_negative_seed_exit_2(source, tmp_path, monkeypatch, capfd):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "run.ini", "out", "--seed", "1.5"], "argument --seed: expected an exact integer, got '1.5'"),
+    (["g2", "tags.ttg", "--bin", "x"], "argument --bin: cannot parse number in 'x'"),
+])
+def test_refused_option_prints_the_parsers_message(argv, message, capsys):
+    # argparse's own "invalid <type> value" would hide why the value was refused
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("seed,recorded", [("9007199254740993", 9007199254740993), ("1e3", 1000)])
 def test_simulate_seed_is_read_alike_from_flag_and_config(seed, recorded, tmp_path):
     # one integer rule for both: a seed past 2**53 is not rounded to a

@@ -5,7 +5,9 @@ tag-by-tag dead-time loop, the three-key ``lexsort`` merge and a pair-by-pair
 coincidence count. The fast paths must agree with them exactly, tag for tag
 and bin for bin.
 """
+import concurrent.futures
 import struct
+import threading
 from decimal import ROUND_HALF_UP, Decimal
 from unittest.mock import patch
 
@@ -14,15 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emitterforge import correlator
+from emitterforge import correlator, photonsim
 from emitterforge.correlator import correlate
 from emitterforge.errors import DomainError, FormatError
 from emitterforge.photonsim import (
     _SCALAR_BURSTS,
+    _THREADED_TAGS,
     EmitterModel,
     _dead_time_filter,
     _emitter_times,
     simulate_emitter_tags,
+    steady_state_rate,
 )
 from emitterforge.timetags import (
     RECORD_SIZE,
@@ -182,11 +186,30 @@ def test_merge_zero_streams_raises():
 def test_merge_empty_and_single_channel_streams():
     empty = TimeTagStream(1e-12, np.empty(0, np.uint8), np.empty(0, np.int64), 3.0)
     one = TimeTagStream(1e-12, np.ones(3, np.uint8), np.array([1, 2, 2], np.int64), 1.0)
+    zero = TimeTagStream(1e-12, np.zeros(2, np.uint8), np.array([2, 2], np.int64), 1.0)
     _check_merge([empty])
     _check_merge([empty, empty])
     _check_merge([one, empty])
     _check_merge([empty, one])
     _check_merge([one])
+    _check_merge([one, zero])  # ties out of channel order across streams
+
+
+@settings(deadline=None)
+@given(
+    ticks=st.lists(st.lists(st.integers(0, 6), max_size=30).map(sorted), min_size=1, max_size=4),
+    channel=st.integers(0, 3),
+)
+def test_merge_one_channel_matches_lexsort(ticks, channel):
+    # the one-channel path sorts timestamps alone; ties repeat across streams
+    inputs = [
+        TimeTagStream(1e-12, np.full(len(t), channel, np.uint8), np.asarray(t, np.int64), 1.0)
+        for t in ticks
+    ]
+    inputs.append(TimeTagStream(1e-12, np.empty(0, np.uint8), np.empty(0, np.int64), 2.0))
+    before = [s.timestamps.copy() for s in inputs]
+    _check_merge(inputs)
+    assert all(np.array_equal(s.timestamps, b) for s, b in zip(inputs, before))
 
 
 @pytest.mark.parametrize("n_emitters", [0, 1, 2, 5])
@@ -204,6 +227,47 @@ def test_emitter_tags_equal_merge_of_each_emitter(n_emitters):
     assert got.duration == 2e-3 and not got.channels.any()
     expected = [t for s in per_emitter for t in s.timestamps.tolist()]
     assert got.timestamps.tolist() == sorted(expected)
+
+
+_SHELVING = EmitterModel(
+    lifetime=5e-9, sat_power=100e-6, sat_rate=5e5, shelving_rate=2e7, deshelving_rate=1e6
+)
+
+
+_TWO_LEVEL = EmitterModel(lifetime=50e-9, sat_power=150e-6, sat_rate=2e6)
+
+
+@pytest.mark.parametrize("models", [
+    [_TWO_LEVEL] * 2, [_TWO_LEVEL] * 3, [_TWO_LEVEL] * 5, [_SHELVING] * 2, [_SHELVING, _TWO_LEVEL],
+], ids=["N2", "N3", "N5", "shelving", "mixed"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_threaded_emitter_tags_equal_each_emitters_ticks(models, cpus, monkeypatch):
+    # twice the thread constant's tags: on 2 CPUs each emitter is drawn on
+    # a thread, on 1 CPU all on the calling thread, with the same ticks
+    power = 300e-6
+    duration = 2 * _THREADED_TAGS / sum(steady_state_rate(m, power) for m in models)
+    pools = []
+
+    class RecordedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(photonsim, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
+    threads = threading.active_count()
+    got = simulate_emitter_tags(models, power, duration, seed=11)
+    assert threading.active_count() == threads
+    assert pools == ([] if cpus == 1 else [2])
+    children = np.random.SeedSequence(11).spawn(len(models))
+    expected = np.sort(np.concatenate([
+        TimeTagStream.from_times(
+            _emitter_times(m, power, duration, np.random.default_rng(c)), 0, 1e-12, duration
+        ).timestamps
+        for m, c in zip(models, children)
+    ]))
+    assert got.duration == duration and not got.channels.any()
+    assert got.timestamps.dtype == np.int64 and np.array_equal(got.timestamps, expected)
 
 
 # -- validation at the public entry points --------------------------------
