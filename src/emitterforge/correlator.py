@@ -34,7 +34,13 @@ DEFAULT_BIN_WIDTH = 1e-9
 DEFAULT_WINDOW = 250e-9
 RHO_FLOOR = 0.1  # background_correct warns below this signal fraction
 _N_SUB = 8  # quadrature nodes per bin of the bin-averaged dip model
-_A_CHUNK = 200_000  # bound the pair-array memory
+# starts per part: a part's B slice and pair arrays stay in a 2 MB L2 cache
+_A_CHUNK = 2**14
+# a part expecting fewer pairs per start than this walks to each start's
+# last stop instead of searching for it: on a 2-core VM the walk took
+# 0.72-0.91 of the search's correlate time at 0.1-1.25 pairs per start,
+# 0.99 at 1.5 and 1.07-1.23 at 2-10 (BENCH_26.json layers.stop_bound_sweep)
+_SPARSE_PAIRS = 1.5
 
 
 @dataclass
@@ -110,6 +116,27 @@ def _bins(bin_ticks: int, m_bins: int):
     return ticks, lo, hi, coverage
 
 
+def _stop_index(b_part: np.ndarray, lo: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(b_part, stop, side="right")`` where no tag before
+    ``lo`` passes its ``stop``, found by stepping up from ``lo``: one step
+    over every start, then up to three over the starts still open, then a
+    search for those left. ``take`` clips an index past the end to the last
+    tag, which is then at most the start's stop, so such a start stays open
+    until the search."""
+    step = b_part.take(lo, mode="clip") <= stop
+    hi = lo + step
+    open_ = np.flatnonzero(step)
+    for _ in range(3):
+        if open_.size == 0:
+            return hi
+        at = hi[open_]
+        step = b_part.take(at, mode="clip") <= stop[open_]
+        hi[open_] = at + step
+        open_ = open_[step]
+    hi[open_] = np.searchsorted(b_part, stop[open_], side="right")
+    return hi
+
+
 def correlate(
     a: TimeTagStream,
     b: TimeTagStream,
@@ -122,9 +149,12 @@ def correlate(
     uncorrelated (Poisson) pair average to g2 = 1. A window longer than the
     acquisition is allowed, with a warning.
 
-    Channel A is correlated in parts of at most ``_A_CHUNK`` (200,000)
-    starts, each against the slice of B within its reach; the parts bound
-    the pair arrays' memory and change no count. A histogram, or a set of
+    Channel A is correlated in parts of at most ``_A_CHUNK`` (2**14)
+    starts, each against the slice of B within its reach; the parts keep
+    the pair arrays in cache and change no count. Each start's first stop
+    is searched for; its last one is searched for too, except in a part
+    expecting fewer than ``_SPARSE_PAIRS`` (1.5) pairs per start, which
+    walks to it (:func:`_stop_index`). A histogram, or a set of
     pairs, too large for the available memory raises :class:`DomainError`
     naming the bin count, and so do delays whose span, plus about 1.5 bins,
     passes the int64 tick range.
@@ -186,8 +216,15 @@ def correlate(
                 np.searchsorted(b.timestamps, a_part[0] - behind, side="left") :
                 np.searchsorted(b.timestamps, stop[-1], side="right")
             ]
+            if b_part.size == 0:
+                continue
             lo = np.searchsorted(b_part, a_part - behind, side="left")
-            counts = np.searchsorted(b_part, stop, side="right") - lo
+            # expected pairs per start: B's density in the part times the reach
+            span = max(int(b_part[-1]) - int(b_part[0]), 1)
+            if b_part.size * (behind + ahead + 1) / span < _SPARSE_PAIRS:
+                counts = _stop_index(b_part, lo, stop) - lo
+            else:
+                counts = np.searchsorted(b_part, stop, side="right") - lo
             total = int(counts.sum())
             if total == 0:
                 continue

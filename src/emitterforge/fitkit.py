@@ -30,6 +30,7 @@ DAMPING_INIT = 1e-3
 DAMPING_UP = 10.0
 DAMPING_DOWN = 0.1
 _MAX_INNER_RETRIES = 25
+_GEMV_ELEMENTS = 2**18  # OpenBLAS threads a dgemv of about 460,000 entries or more
 
 
 @dataclass
@@ -174,6 +175,14 @@ def _weighted_jacobian(jac, sigma, x):
     return jac, np.flatnonzero(bad).tolist()
 
 
+def _gradient(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``jac.T @ r``, summed over blocks of at most ``_GEMV_ELEMENTS``
+    Jacobian entries: OpenBLAS hands a larger dgemv to a helper thread,
+    which then spin-waits for about 0.12 s."""
+    rows = _GEMV_ELEMENTS // jac.shape[1]
+    return sum(jac[i : i + rows].T @ r[i : i + rows] for i in range(0, r.size, rows))
+
+
 def least_squares(problem: FitProblem) -> FitOutcome:
     """Minimize the weighted sum of squares ``sum(((model - y) / sigma)**2)``
     with damped Gauss-Newton steps.
@@ -203,7 +212,9 @@ def least_squares(problem: FitProblem) -> FitOutcome:
     r, model_jac = evaluate(x)
     if not np.all(np.isfinite(r)):
         raise DomainError("residual is non-finite at the initial point")
-    cost = float(np.dot(r, r))
+    # not np.dot: OpenBLAS runs a ddot of over 10,000 elements on a helper
+    # thread, which then spin-waits for about 0.12 s (see _gradient)
+    cost = float(np.einsum("i,i->", r, r))
 
     lam = DAMPING_INIT
     iterations = 0
@@ -212,7 +223,7 @@ def least_squares(problem: FitProblem) -> FitOutcome:
     jac, flagged = _weighted_jacobian(model_jac, sigma, x)
 
     while iterations < MAX_ITERATIONS:
-        grad = jac.T @ r
+        grad = _gradient(jac, r)
         # parameters pinned at a bound with the gradient pushing outward
         # are frozen for this step; convergence is judged on the rest
         free = ~(((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0)))
@@ -246,7 +257,7 @@ def least_squares(problem: FitProblem) -> FitOutcome:
             if not np.all(np.isfinite(r_new)):
                 lam *= DAMPING_UP
                 continue
-            cost_new = float(np.dot(r_new, r_new))
+            cost_new = float(np.einsum("i,i->", r_new, r_new))
             if cost_new < cost:
                 accepted = True
                 break

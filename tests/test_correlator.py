@@ -183,7 +183,8 @@ def test_huge_bins_keep_their_layout():
     # an int64 layout wraps; tags 2e18 ticks apart stay in the int64 range
     a = TimeTagStream(1e-12, np.zeros(1, np.uint8), np.array([0], np.int64), 4e6)
     b = TimeTagStream(1e-12, np.ones(1, np.uint8), np.array([2 * 10**18], np.int64), 4e6)
-    hist = correlate(a, b, bin_width=1e6, window=1e7)
+    with pytest.warns(UserWarning, match="longer than the"):
+        hist = correlate(a, b, bin_width=1e6, window=1e7)
     assert hist.tau.size == 21
     assert np.all(np.diff(hist.tau) > 0)
     assert np.array_equal(hist.tau, -hist.tau[::-1])
@@ -226,7 +227,8 @@ def test_correlate_reach_beyond_the_last_tag_keeps_every_pair():
     # is clamped to the last tag, which no delay exceeds
     a = TimeTagStream(1e-12, np.zeros(2, np.uint8), np.array([0, 10], np.int64), 1e-11)
     b = TimeTagStream(1e-12, np.ones(2, np.uint8), np.array([3, 4], np.int64), 1e-11)
-    hist = correlate(a, b, bin_width=1e6, window=1e7)
+    with pytest.warns(UserWarning, match="longer than the"):
+        hist = correlate(a, b, bin_width=1e6, window=1e7)
     assert hist.raw.tolist() == [0] * 10 + [4] + [0] * 10
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import emitterforge
 from emitterforge import analysis, correlator, fitkit
 from emitterforge.errors import DomainError
 from emitterforge.fitkit import (
@@ -382,3 +388,35 @@ def test_one_model_evaluation_per_trial_point(name, monkeypatch):
     fit()
     assert sum(trials) > 2
     assert sum(evaluations) == sum(trials)
+
+
+def test_fits_leave_no_thread_spinning_after_them():
+    # a threaded BLAS reduction over more than 10,000 residuals leaves
+    # OpenBLAS's helper thread spin-waiting for about 0.12 s after the fit;
+    # the CPU a 0.3 s sleep burns after a fit of 12,001 and one of 200,001
+    # bins is measured in a fresh interpreter, once the spin of the threads'
+    # start at numpy's import has ended
+    script = (
+        "import resource, time\n"
+        "from emitterforge import correlator, photonsim\n"
+        "time.sleep(0.3)\n"
+        "em = photonsim.EmitterModel(lifetime=50e-9, sat_power=150e-6, sat_rate=2e6)\n"
+        "stream = photonsim.simulate_emitter_tags(em, 150e-6, 0.05, seed=21)\n"
+        "det = photonsim.DetectorModel(efficiency=1.0)\n"
+        "a, b = photonsim.run_detection(stream, 0.5, det, det, seed=22)\n"
+        "for window, bins in ((6e-6, 12_001), (100e-6, 200_001)):\n"
+        "    hist = correlator.correlate(a, b, 1e-9, window)\n"
+        "    assert hist.tau.size == bins\n"
+        "    correlator.fit_g2(hist)\n"
+        "    use = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "    time.sleep(0.3)\n"
+        "    after = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "    print(bins, after.ru_utime + after.ru_stime - use.ru_utime - use.ru_stime)\n"
+    )
+    src = str(Path(emitterforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    burned = dict(line.split() for line in done.stdout.splitlines())
+    assert burned.keys() == {"12001", "200001"}
+    assert all(float(cpu) < 0.010 for cpu in burned.values()), burned

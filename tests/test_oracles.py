@@ -6,8 +6,10 @@ coincidence count. The fast paths must agree with them exactly, tag for tag
 and bin for bin.
 """
 import concurrent.futures
+import math
 import struct
 import threading
+import warnings
 from decimal import ROUND_HALF_UP, Decimal
 from unittest.mock import patch
 
@@ -381,6 +383,20 @@ def past_int64(a_ticks, b_ticks, bin_ticks, m_bins) -> bool:
     return ahead + behind + 3 * bin_ticks // 2 >= 2**63
 
 
+def correlate_warned(a, b, bin_width, window):
+    """``correlate``, which warns exactly when the window is longer than the
+    acquisition (these cases draw such windows on purpose)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        hist = correlate(a, b, bin_width=bin_width, window=window)
+    long = window > max(a.duration, b.duration)
+    assert [str(w.message) for w in caught] == (
+        [f"window {window:g} s is longer than the {max(a.duration, b.duration):g} s acquisition"]
+        if long else []
+    )
+    return hist
+
+
 @settings(deadline=None, max_examples=300)
 @given(case=correlation_cases())
 def test_correlate_matches_brute_force_pair_count(case):
@@ -391,22 +407,64 @@ def test_correlate_matches_brute_force_pair_count(case):
     bin_width, window = bin_ticks * res, m_bins * bin_ticks * res
     expected = brute_force_counts(a_ticks, b_ticks, bin_ticks, m_bins)
     try:
-        hist = correlate(a, b, bin_width=bin_width, window=window)
+        hist = correlate_warned(a, b, bin_width, window)
     except DomainError as err:
         assert "int64 limit of 2**63 ticks" in str(err)
         assert past_int64(a_ticks, b_ticks, bin_ticks, m_bins)
         return
     assert hist.raw.tolist() == expected
-    # parts of at most ceil(n_A / n_chunks) starts: n_chunks parts or fewer
-    with patch.object(correlator, "_A_CHUNK", -(-len(a_ticks) // n_chunks)):
-        chunked = correlate(a, b, bin_width=bin_width, window=window)
-    assert chunked.raw.tolist() == expected
+    # parts of at most ceil(n_A / n_chunks) starts: n_chunks parts or fewer;
+    # with no part walking to its stops, and with every part doing so
+    for sparse in (0.0, math.inf):
+        with patch.object(correlator, "_A_CHUNK", -(-len(a_ticks) // n_chunks)), \
+                patch.object(correlator, "_SPARSE_PAIRS", sparse):
+            chunked = correlate_warned(a, b, bin_width, window)
+        assert chunked.raw.tolist() == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stop_walk_matches_search(seed):
+    # runs of equal tags, starts with no stop, with stops past the last B
+    # tag and with more than four stops, which fall back to the search
+    rng = np.random.default_rng(seed)
+    b_part = np.sort(rng.integers(0, 60, rng.integers(1, 40)))
+    starts = np.sort(rng.integers(-10, 70, 200))
+    behind, ahead = rng.integers(0, 8, 2)
+    lo = np.searchsorted(b_part, starts - behind, side="left")
+    stop = starts + ahead
+    assert np.array_equal(
+        correlator._stop_index(b_part, lo, stop), np.searchsorted(b_part, stop, side="right")
+    )
+
+
+@pytest.mark.parametrize(
+    "a_ticks,b_ticks,chunk",
+    [
+        # the first part's B slice is empty: B starts past its reach
+        ([0, 1, 2, 1000, 1001], [500, 998, 1003], 2),
+        # the last starts' stops run past the last B tag
+        ([7, 9, 10, 11], [8, 9, 10], 2),
+        # a sparse part whose start at 10**6 has six stops
+        ([0, 10**6, 2 * 10**6], [5, *range(10**6 - 3, 10**6 + 3), 2 * 10**6 - 9], 3),
+    ],
+)
+def test_correlate_sparse_parts_match_brute_force(a_ticks, b_ticks, chunk):
+    bin_ticks, m_bins = 2, 3
+    duration = (max(a_ticks + b_ticks) + 1) * 1e-12
+    a = TimeTagStream(1e-12, np.zeros(len(a_ticks), np.uint8), a_ticks, duration)
+    b = TimeTagStream(1e-12, np.ones(len(b_ticks), np.uint8), b_ticks, duration)
+    expected = brute_force_counts(a_ticks, b_ticks, bin_ticks, m_bins)
+    for sparse in (correlator._SPARSE_PAIRS, math.inf):
+        with patch.object(correlator, "_A_CHUNK", chunk), \
+                patch.object(correlator, "_SPARSE_PAIRS", sparse):
+            hist = correlate(a, b, bin_width=bin_ticks * 1e-12, window=m_bins * bin_ticks * 1e-12)
+        assert hist.raw.tolist() == expected
 
 
 def test_correlate_bins_a_delay_past_2_62_ticks_on_its_own_side():
     # 2 * (2**62 + 5) wraps in int64; the delay is 4.6 bins of 1e18 ticks
     a = TimeTagStream(1e-12, np.zeros(1, np.uint8), [0], 5e6)
     b = TimeTagStream(1e-12, np.ones(1, np.uint8), [2**62 + 5], 5e6)
-    hist = correlate(a, b, bin_width=1e6, window=1e7)
+    hist = correlate_warned(a, b, 1e6, 1e7)
     assert hist.raw.tolist() == brute_force_counts([0], [2**62 + 5], 10**18, 10)
     assert hist.raw[10 + 5] == 1
