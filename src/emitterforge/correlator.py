@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import fitkit
+from . import fitkit, photonsim
 from .errors import CorrectionWarning, DomainError
 from .tables import write_table
 from .timetags import TimeTagStream
@@ -154,7 +154,11 @@ def correlate(
     the pair arrays in cache and change no count. Each start's first stop
     is searched for; its last one is searched for too, except in a part
     expecting fewer than ``_SPARSE_PAIRS`` (1.5) pairs per start, which
-    walks to it (:func:`_stop_index`). A histogram, or a set of
+    walks to it (:func:`_stop_index`). Above ``photonsim._THREADED_TAGS``
+    (200,000) starts the parts are counted on up to one thread per CPU the
+    process may run on (``taskset`` limits them), each thread a contiguous
+    run of parts into its own histogram; the histograms are summed, so the
+    counts are the same on any number of threads. A histogram, or a set of
     pairs, too large for the available memory raises :class:`DomainError`
     naming the bin count, and so do delays whose span, plus about 1.5 bins,
     passes the int64 tick range.
@@ -206,11 +210,11 @@ def correlate(
             f"delays from -{behind} to {ahead} ticks in bins of {bin_ticks} ticks"
             " pass the correlator's int64 limit of 2**63 ticks"
         )
-    try:
+
+    def count(parts) -> np.ndarray:
+        """The pair counts of the starts in ``parts``, bin by bin."""
         raw = np.zeros(n_bins, dtype=np.int64)
-        for a_part in np.array_split(a.timestamps, -(-a.n_tags // _A_CHUNK)):
-            if a_part.size == 0:
-                continue
+        for a_part in parts:
             stop = np.minimum(a_part, last_b - ahead) + ahead
             b_part = b.timestamps[
                 np.searchsorted(b.timestamps, a_part[0] - behind, side="left") :
@@ -239,6 +243,27 @@ def correlate(
             held = np.bincount(num // bin_ticks)[max(c - m_bins, 0) : c + m_bins + 1]
             start = max(m_bins - c, 0)
             raw[start : start + held.size] += held
+        return raw
+
+    # ceil(n / _A_CHUNK) parts of a stream of n >= 1 starts: none is empty
+    n_parts = -(-a.n_tags // _A_CHUNK)
+    parts = np.array_split(a.timestamps, n_parts)
+    threads = 1
+    if a.n_tags > photonsim._THREADED_TAGS:
+        threads = min(photonsim._usable_cpus(), n_parts)
+    try:
+        if threads > 1:
+            # imported only here, where it is used: it adds 7 ms to the import
+            from concurrent.futures import ThreadPoolExecutor
+
+            # each thread counts a contiguous run of parts into its own
+            # histogram; integer sums are exact in any order
+            runs = [parts[n_parts * i // threads : n_parts * (i + 1) // threads]
+                    for i in range(threads)]
+            with ThreadPoolExecutor(threads) as pool:
+                raw = sum(pool.map(count, runs))
+        else:
+            raw = count(parts)
 
         ticks, _, _, coverage = _bins(bin_ticks, m_bins)
         rate_a = a.n_tags / total_time

@@ -99,15 +99,29 @@ def read_table(path, headers: dict, meta: dict | None = None, min_rows: int = 0)
     return Table(header, columns, found)
 
 
+def _texts(spec: str, column) -> list[str]:
+    """``spec % value`` for each value of ``column``. A numpy column of
+    numbers formats each distinct value once, keyed by its bits, so
+    ``0.0`` and ``-0.0`` stay apart."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf" and column.itemsize <= 8:
+        keys, where = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+        texts = np.array([spec % (v,) for v in keys.view(column.dtype).tolist()], dtype=object)
+        return texts[where].tolist()
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return [spec % (v,) for v in values]
+
+
 def write_table(path, header: str, columns, fmt: str, meta: dict | None = None) -> None:
     """Write ``path`` as UTF-8 with ``\\n`` line ends on any locale: the
     ``meta`` comment (floats at 17 digits), the header and one ``fmt % row``
-    line per row of ``columns``; numpy columns are written through
-    ``.tolist()``, so ``fmt`` formats Python numbers."""
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    line per row of ``columns``. ``fmt`` is one ``%`` spec per column,
+    joined by commas, and each value is formatted as a Python number
+    (numpy columns through ``.tolist()``); a numpy column formats each of
+    its distinct values once."""
+    texts = [_texts(spec, c) for spec, c in zip(fmt.split(","), columns)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if meta:
             tokens = (f"{k}={v:.17g}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items())
             fh.write("# " + " ".join(tokens) + "\n")
         fh.write(header + "\n")
-        fh.writelines(fmt % row + "\n" for row in rows)
+        fh.write("\n".join([*map(",".join, zip(*texts)), ""]))  # each row ends in \n

@@ -6,6 +6,7 @@ coincidence count. The fast paths must agree with them exactly, tag for tag
 and bin for bin.
 """
 import concurrent.futures
+import itertools
 import math
 import struct
 import threading
@@ -414,10 +415,13 @@ def test_correlate_matches_brute_force_pair_count(case):
         return
     assert hist.raw.tolist() == expected
     # parts of at most ceil(n_A / n_chunks) starts: n_chunks parts or fewer;
-    # with no part walking to its stops, and with every part doing so
-    for sparse in (0.0, math.inf):
+    # with no part walking to its stops, and with every part doing so; on
+    # one, two and three threads, which every stream reaches here
+    for sparse, cpus in itertools.product((0.0, math.inf), (1, 2, 3)):
         with patch.object(correlator, "_A_CHUNK", -(-len(a_ticks) // n_chunks)), \
-                patch.object(correlator, "_SPARSE_PAIRS", sparse):
+                patch.object(correlator, "_SPARSE_PAIRS", sparse), \
+                patch.object(photonsim, "_THREADED_TAGS", 0), \
+                patch.object(photonsim, "_usable_cpus", lambda: cpus):
             chunked = correlate_warned(a, b, bin_width, window)
         assert chunked.raw.tolist() == expected
 
@@ -446,6 +450,9 @@ def test_stop_walk_matches_search(seed):
         ([7, 9, 10, 11], [8, 9, 10], 2),
         # a sparse part whose start at 10**6 has six stops
         ([0, 10**6, 2 * 10**6], [5, *range(10**6 - 3, 10**6 + 3), 2 * 10**6 - 9], 3),
+        # four parts: on two or three threads, the first thread's parts all
+        # have empty B slices
+        ([0, 1, 2, 3, 1000, 1001, 1002, 1003], [998, 1000, 1004], 2),
     ],
 )
 def test_correlate_sparse_parts_match_brute_force(a_ticks, b_ticks, chunk):
@@ -454,11 +461,63 @@ def test_correlate_sparse_parts_match_brute_force(a_ticks, b_ticks, chunk):
     a = TimeTagStream(1e-12, np.zeros(len(a_ticks), np.uint8), a_ticks, duration)
     b = TimeTagStream(1e-12, np.ones(len(b_ticks), np.uint8), b_ticks, duration)
     expected = brute_force_counts(a_ticks, b_ticks, bin_ticks, m_bins)
-    for sparse in (correlator._SPARSE_PAIRS, math.inf):
+    for sparse, cpus in itertools.product((correlator._SPARSE_PAIRS, math.inf), (1, 2, 3)):
         with patch.object(correlator, "_A_CHUNK", chunk), \
-                patch.object(correlator, "_SPARSE_PAIRS", sparse):
+                patch.object(correlator, "_SPARSE_PAIRS", sparse), \
+                patch.object(photonsim, "_THREADED_TAGS", 0), \
+                patch.object(photonsim, "_usable_cpus", lambda: cpus):
             hist = correlate(a, b, bin_width=bin_ticks * 1e-12, window=m_bins * bin_ticks * 1e-12)
         assert hist.raw.tolist() == expected
+
+
+def _long_pair(seed):
+    """Two independent channels of 250,000 tags over 1 s: more starts than
+    ``_THREADED_TAGS``, at about 1.5 pairs per start within 3 us."""
+    rng = np.random.default_rng(seed)
+    a, b = (np.sort(rng.integers(0, 10**12, 250_000)) for _ in range(2))
+    return (
+        TimeTagStream(1e-12, np.zeros(a.size, np.uint8), a, 1.0),
+        TimeTagStream(1e-12, np.ones(b.size, np.uint8), b, 1.0),
+    )
+
+
+def test_threaded_correlate_counts_what_one_thread_counts(monkeypatch):
+    a, b = _long_pair(5)
+    assert a.n_tags > _THREADED_TAGS
+    pools = []
+
+    class RecordedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
+    threads = threading.active_count()
+    raws = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(photonsim, "_usable_cpus", lambda: cpus)
+        raws.append(correlate(a, b, bin_width=2e-9, window=3e-6).raw)
+    assert threading.active_count() == threads
+    assert pools == [2]
+    assert raws[0].sum() > a.n_tags
+    assert np.array_equal(raws[0], raws[1])
+
+
+def test_memory_error_in_a_correlate_thread_names_the_bins(monkeypatch):
+    a, b = _long_pair(6)
+    bincount, workers = np.bincount, []
+
+    def bincount_out_of_memory(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            workers.append(threading.current_thread().name)
+            raise MemoryError("Unable to allocate 12 MiB")
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(photonsim, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(np, "bincount", bincount_out_of_memory)
+    with pytest.raises(DomainError, match=r"^3001 bins of 2e-09 s and their pairs do not fit"):
+        correlate(a, b, bin_width=2e-9, window=3e-6)
+    assert workers
 
 
 def test_correlate_bins_a_delay_past_2_62_ticks_on_its_own_side():

@@ -35,6 +35,7 @@ from emitterforge.correlator import G2Histogram, write_histogram_csv
 from emitterforge.errors import ConfigError, DomainError, FormatError
 from emitterforge.implantation import build_pattern, write_pattern_csv
 from emitterforge.photonsim import DecayHistogram, read_decay_csv, write_decay_csv
+from emitterforge.tables import write_table
 
 # ------------------------------------------------------------ writer bytes
 
@@ -137,6 +138,93 @@ def test_writer_bytes_unchanged(tmp_path, name):
     path = tmp_path / f"{name}.csv"
     write(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _rendered(header, columns, fmt) -> bytes:
+    """The table as one ``fmt % row`` per row renders it: the reference for
+    ``write_table``, which formats each distinct value of a numpy column once."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return (header + "\n" + "".join(fmt % row + "\n" for row in rows)).encode()
+
+
+# NaN with three payloads, the sign bit set on the last
+_NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000], np.uint64).view(float)
+
+WRITER_TABLES = {
+    "repeated": (
+        np.tile([0.1, 1 / 3], 50),
+        np.repeat([2.5, 1e-300, 2.5, 7.0], 25),
+        np.repeat(np.arange(4, dtype=np.int64), 25),
+    ),
+    "distinct": (
+        np.linspace(-1.0, 1.0, 101) * np.pi,
+        np.arange(101, dtype=np.int64) * (2**62 // 101),
+        np.geomspace(1e-300, 1e300, 101),
+    ),
+    "signed_zeros": (
+        np.array([0.0, -0.0, 0.0, -0.0, 1.0]),
+        np.array([-0.0, -0.0, 0.0, 5e-324, -5e-324]),
+        np.array([0, 0, 1, 0, 1], np.int64),
+    ),
+    "nan_and_inf": (
+        np.concatenate([_NANS, [np.inf, -np.inf, 1.0, np.nan]]),
+        np.concatenate([[np.inf], _NANS[::-1], [-np.inf, np.inf, -0.0]]),
+        np.array([3, 2, 1, 0, -1, -2, -3], np.int64),
+    ),
+    "int64_extremes": (
+        np.array([-(2**63), 2**63 - 1, 0, -1, 2**63 - 1], np.int64).astype(float),
+        np.array([2**53 + 1, 2**53, -(2**53) - 1, 1, 2**53 + 1], np.int64).astype(float),
+        np.array([-(2**63), 2**63 - 1, 0, -1, 2**63 - 1], np.int64),
+    ),
+    "lists_and_tuples": (
+        [0.1, -0.0, 0.1, float("nan"), 0.0],
+        (1.5, 1.5, float("-inf"), 2**63 - 1, -0.0),
+        [1, 2, 1, 2**62, 1],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_TABLES))
+def test_write_table_renders_fmt_row_by_row(tmp_path, name):
+    columns = WRITER_TABLES[name]
+    path = tmp_path / f"{name}.csv"
+    for fmt in ("%.17g,%.17g,%d", "%s,%r,%.3e"):
+        write_table(path, "x,y,n", columns, fmt)
+        assert path.read_bytes() == _rendered("x,y,n", columns, fmt)
+
+
+def test_write_table_renders_other_dtypes_and_no_rows(tmp_path):
+    columns = (
+        np.array([0.1, -0.0, 0.1, np.nan], np.float32),
+        np.array([True, False, True, True]),
+        np.array([255, 0, 255, 7], np.uint8),
+        np.array(["a", "b", "a", "µ"]),
+    )
+    path = tmp_path / "dtypes.csv"
+    write_table(path, "x,b,u,s", columns, "%.9g,%s,%d,%s")
+    assert path.read_bytes() == _rendered("x,b,u,s", columns, "%.9g,%s,%d,%s")
+    assert path.read_bytes().splitlines()[1:3] == [b"0.100000001,True,255,a", b"-0,False,0,b"]
+    # no rows: the header alone, as from the rows of an empty pattern
+    write_table(path, "label,x", zip(*[]), "%s,%.17g")
+    assert path.read_bytes() == b"label,x\n"
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 0.1]), st.floats()),
+        min_size=1,
+        max_size=40,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_table_renders_drawn_columns(tmp_path_factory, values, seed):
+    rng = np.random.default_rng(seed)
+    column = np.array(values)
+    columns = (column, rng.permutation(column), rng.integers(-3, 3, column.size), list(column))
+    path = tmp_path_factory.mktemp("drawn") / "t.csv"
+    write_table(path, "a,b,n,l", columns, "%.17g,%r,%d,%.17g")
+    assert path.read_bytes() == _rendered("a,b,n,l", columns, "%.17g,%r,%d,%.17g")
 
 
 def test_tables_are_utf8_whatever_the_locale(tmp_path):
