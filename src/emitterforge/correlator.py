@@ -41,6 +41,11 @@ _A_CHUNK = 2**14
 # 0.72-0.91 of the search's correlate time at 0.1-1.25 pairs per start,
 # 0.99 at 1.5 and 1.07-1.23 at 2-10 (BENCH_26.json layers.stop_bound_sweep)
 _SPARSE_PAIRS = 1.5
+# starts above which the parts are counted on threads: on a 2-core VM two
+# threads took 1.05-1.7 times one thread's correlate time at 2-4 parts,
+# 0.8-1.2 at 5-6 and 0.75-0.98 from 7 (100,000 starts is 7 parts), at 0.02
+# to 3 pairs per start (BENCH_28.json layers.thread_gate_sweep)
+_THREADED_STARTS = 100_000
 
 
 @dataclass
@@ -154,14 +159,15 @@ def correlate(
     the pair arrays in cache and change no count. Each start's first stop
     is searched for; its last one is searched for too, except in a part
     expecting fewer than ``_SPARSE_PAIRS`` (1.5) pairs per start, which
-    walks to it (:func:`_stop_index`). Above ``photonsim._THREADED_TAGS``
-    (200,000) starts the parts are counted on up to one thread per CPU the
+    walks to it (:func:`_stop_index`). Above ``_THREADED_STARTS``
+    (100,000) starts the parts are counted on up to one thread per CPU the
     process may run on (``taskset`` limits them), each thread a contiguous
     run of parts into its own histogram; the histograms are summed, so the
-    counts are the same on any number of threads. A histogram, or a set of
-    pairs, too large for the available memory raises :class:`DomainError`
-    naming the bin count, and so do delays whose span, plus about 1.5 bins,
-    passes the int64 tick range.
+    counts are the same on any number of threads. The threads hold one
+    histogram each where one thread holds one in all. A histogram, or a
+    set of pairs, too large for the available memory raises
+    :class:`DomainError` naming the bin count, and so do delays whose span,
+    plus about 1.5 bins, passes the int64 tick range.
     """
     if a.n_tags == 0 or b.n_tags == 0:
         raise DomainError("both channels must contain tags")
@@ -249,7 +255,7 @@ def correlate(
     n_parts = -(-a.n_tags // _A_CHUNK)
     parts = np.array_split(a.timestamps, n_parts)
     threads = 1
-    if a.n_tags > photonsim._THREADED_TAGS:
+    if a.n_tags > _THREADED_STARTS:
         threads = min(photonsim._usable_cpus(), n_parts)
     try:
         if threads > 1:
@@ -261,7 +267,10 @@ def correlate(
             runs = [parts[n_parts * i // threads : n_parts * (i + 1) // threads]
                     for i in range(threads)]
             with ThreadPoolExecutor(threads) as pool:
-                raw = sum(pool.map(count, runs))
+                counted = pool.map(count, runs)
+                raw = next(counted)
+                for other in counted:
+                    raw += other
         else:
             raw = count(parts)
 

@@ -420,7 +420,7 @@ def test_correlate_matches_brute_force_pair_count(case):
     for sparse, cpus in itertools.product((0.0, math.inf), (1, 2, 3)):
         with patch.object(correlator, "_A_CHUNK", -(-len(a_ticks) // n_chunks)), \
                 patch.object(correlator, "_SPARSE_PAIRS", sparse), \
-                patch.object(photonsim, "_THREADED_TAGS", 0), \
+                patch.object(correlator, "_THREADED_STARTS", 0), \
                 patch.object(photonsim, "_usable_cpus", lambda: cpus):
             chunked = correlate_warned(a, b, bin_width, window)
         assert chunked.raw.tolist() == expected
@@ -464,7 +464,7 @@ def test_correlate_sparse_parts_match_brute_force(a_ticks, b_ticks, chunk):
     for sparse, cpus in itertools.product((correlator._SPARSE_PAIRS, math.inf), (1, 2, 3)):
         with patch.object(correlator, "_A_CHUNK", chunk), \
                 patch.object(correlator, "_SPARSE_PAIRS", sparse), \
-                patch.object(photonsim, "_THREADED_TAGS", 0), \
+                patch.object(correlator, "_THREADED_STARTS", 0), \
                 patch.object(photonsim, "_usable_cpus", lambda: cpus):
             hist = correlate(a, b, bin_width=bin_ticks * 1e-12, window=m_bins * bin_ticks * 1e-12)
         assert hist.raw.tolist() == expected
@@ -472,7 +472,7 @@ def test_correlate_sparse_parts_match_brute_force(a_ticks, b_ticks, chunk):
 
 def _long_pair(seed):
     """Two independent channels of 250,000 tags over 1 s: more starts than
-    ``_THREADED_TAGS``, at about 1.5 pairs per start within 3 us."""
+    ``correlator._THREADED_STARTS``, at about 1.5 pairs per start within 3 us."""
     rng = np.random.default_rng(seed)
     a, b = (np.sort(rng.integers(0, 10**12, 250_000)) for _ in range(2))
     return (
@@ -483,7 +483,7 @@ def _long_pair(seed):
 
 def test_threaded_correlate_counts_what_one_thread_counts(monkeypatch):
     a, b = _long_pair(5)
-    assert a.n_tags > _THREADED_TAGS
+    assert a.n_tags > correlator._THREADED_STARTS
     pools = []
 
     class RecordedPool(concurrent.futures.ThreadPoolExecutor):
@@ -501,6 +501,11 @@ def test_threaded_correlate_counts_what_one_thread_counts(monkeypatch):
     assert pools == [2]
     assert raws[0].sum() > a.n_tags
     assert np.array_equal(raws[0], raws[1])
+    # up to the gate's start count, a stream stays on the calling thread
+    n = correlator._THREADED_STARTS
+    a = TimeTagStream(1e-12, a.channels[:n], a.timestamps[:n], 1.0)
+    correlate(a, b, bin_width=2e-9, window=3e-6)
+    assert pools == [2]
 
 
 def test_memory_error_in_a_correlate_thread_names_the_bins(monkeypatch):
