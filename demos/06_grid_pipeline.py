@@ -19,13 +19,11 @@ from emitterforge.correlator import correlate, fit_g2
 from emitterforge.defectstats import CreationModel, sample_defect_count
 from emitterforge.implantation import sample_ion_counts
 from emitterforge.photonsim import (
+    BackgroundModel,
     DetectorModel,
     EmitterModel,
-    run_detection,
-    simulate_background_tags,
-    simulate_emitter_tags,
+    simulate_spot,
 )
-from emitterforge.timetags import merge_streams
 
 ROWS, COLS = 6, 8
 DWELL = 1.0            # seconds per spot
@@ -33,6 +31,7 @@ POWER = 150e-6 / 9     # well below saturation keeps the dip wide
 
 emitter = EmitterModel(lifetime=50e-9, sat_power=150e-6, sat_rate=2e6)
 detector = DetectorModel(efficiency=0.5)
+light = BackgroundModel(rate=4e3)  # at the splitter
 creation = CreationModel(p_success=0.16, atoms_per_center=3)
 
 # Row r gets an expected dose of 6r ions; row 0 stays blank so the
@@ -46,13 +45,8 @@ print(f"ground truth centers per spot:\n{truth.reshape(ROWS, COLS)}")
 intensity = np.empty(truth.size)
 arms = {}
 for i, n in enumerate(truth):
-    k_emit, k_bg, k_det = np.random.SeedSequence(entropy=(62, i)).spawn(3)
-    stream = simulate_background_tags(4e3, DWELL, seed=k_bg)
-    if n:
-        sig = simulate_emitter_tags([emitter] * int(n), POWER, DWELL, seed=k_emit)
-        stream = merge_streams(sig, stream)
-    a, b = run_detection(stream, 0.5, detector, detector,
-                         seed=np.random.default_rng(k_det))
+    seeds = np.random.SeedSequence(entropy=(62, i)).spawn(3)
+    a, b = simulate_spot(n, emitter, light, detector, 0.5, POWER, DWELL, seeds)
     intensity[i] = (a.n_tags + b.n_tags) / DWELL
     arms[i] = (a, b)
 

@@ -13,7 +13,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import inspect
 import multiprocessing
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import correlator, defectstats
+from . import correlator, defectstats, photonsim
 from .analysis import (
     debye_waller,
     fit_decay,
@@ -38,14 +37,7 @@ from .config import RunConfig, load_config
 from .correlator import background_correct, correlate, fit_g2, write_histogram_csv
 from .errors import ConfigError, DomainError, FormatError
 from .implantation import build_pattern, sample_ion_counts, write_pattern_csv
-from .photonsim import (
-    DEFAULT_RESOLUTION,
-    _usable_cpus,
-    read_decay_csv,
-    run_detection,
-    simulate_background_tags,
-    simulate_emitter_tags,
-)
+from .photonsim import DEFAULT_RESOLUTION, _usable_cpus, read_decay_csv
 from .tables import count, read_table, write_table
 from .timetags import _resolution_ps, merge_streams, read_timetags, write_timetags
 from .units import parse_int, parse_quantity
@@ -148,8 +140,9 @@ def _worker_count(n_sites: int) -> int:
 def _site_chain() -> tuple:
     """The package functions a site's job calls, where it looks them up."""
     return (
-        sample_ion_counts, defectstats.sample_defect_count, simulate_emitter_tags,
-        simulate_background_tags, run_detection, merge_streams, write_timetags,
+        sample_ion_counts, defectstats.sample_defect_count, photonsim.simulate_spot,
+        photonsim.simulate_emitter_tags, photonsim.simulate_background_tags,
+        photonsim.run_detection, photonsim.merge_streams, merge_streams, write_timetags,
     )
 
 
@@ -197,48 +190,20 @@ def _write_site(
 ):
     """Simulate one site, write ``<label>.ttg`` and return its manifest row.
 
-    In a worker process only the row goes back to the parent, never tags.
+    Seeding is per (run seed, site index), so any site can be reproduced
+    alone and processing order cannot matter. In a worker process only the
+    row goes back to the parent, never tags.
     """
-    n_ions, n_centers, arm_a, arm_b = _simulate_site(
-        site, index, seed, creation, emitter, background, detector,
-        split, duration, power, resolution,
+    k_ion, k_defect, *k_spot = np.random.SeedSequence([seed, index]).spawn(5)
+    n_ions = int(sample_ion_counts(site.expected_ions, k_ion))
+    n_centers = int(defectstats.sample_defect_count(n_ions, creation, k_defect))
+    arm_a, arm_b = photonsim.simulate_spot(
+        n_centers, emitter, background, detector, split, power, duration, k_spot, resolution
     )
     write_timetags(merge_streams(arm_a, arm_b), out_dir / f"{site.label}.ttg")
     rate_a = arm_a.n_tags / duration if duration > 0 else 0.0
     rate_b = arm_b.n_tags / duration if duration > 0 else 0.0
     return site.label, n_ions, n_centers, rate_a, rate_b
-
-
-def _simulate_site(
-    site, index, seed, creation, emitter, background, detector,
-    split, duration, power, resolution,
-):
-    """One site's full chain: ions -> centers -> photons -> two detectors.
-
-    Seeding is per (run seed, site index), so any site can be reproduced
-    alone and processing order cannot matter.
-
-    Only detected photons are drawn: both arms share one efficiency, and
-    thinning by it commutes with the split and the jitter, so it is folded
-    into the sources. Thinning the emitter's renewal process scales its
-    detection probability per cycle; thinning a Poisson background scales
-    its rate. The detectors then thin nothing.
-    """
-    k_ion, k_defect, k_emit, k_bg, k_det = np.random.SeedSequence(
-        [seed, index]
-    ).spawn(5)
-    n_ions = int(sample_ion_counts(site.expected_ions, k_ion))
-    n_centers = int(defectstats.sample_defect_count(n_ions, creation, k_defect))
-    eta = detector.efficiency
-    detected = dataclasses.replace(emitter, sat_rate=emitter.sat_rate * eta)
-    stream = simulate_emitter_tags([detected] * n_centers, power, duration, k_emit, resolution)
-    if background.rate * eta > 0:
-        stream = merge_streams(
-            stream, simulate_background_tags(background.rate * eta, duration, k_bg, resolution)
-        )
-    detector = dataclasses.replace(detector, efficiency=1.0)
-    arm_a, arm_b = run_detection(stream, split, detector, detector, k_det)
-    return n_ions, n_centers, arm_a, arm_b
 
 
 def _cmd_g2(args) -> int:

@@ -19,17 +19,22 @@ A call that expects more than ``_THREADED_TAGS`` tags draws its emitters
 on up to one thread per CPU the process may run on (``taskset`` limits
 them). Each emitter has its own generator, so the tags are the same on any
 number of threads.
+
+``simulate_spot`` is the one chain from a spot's center count to its two
+detector arms, and the one place that folds the detector efficiency into
+the sources, so that only detected photons are drawn.
 """
 from __future__ import annotations
 
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
 from .tables import count, read_table, write_table
-from .timetags import TimeTagStream
+from .timetags import TimeTagStream, merge_streams
 
 DEFAULT_RESOLUTION = 1e-12  # 1 ps ticks
 _PHOTONS_PER_PULSE = 1.0  # mean recorded photons per pulse in simulate_pulsed_decay
@@ -342,6 +347,43 @@ def run_detection(
             stream.resolution, np.full(ticks.size, channel, np.uint8), ticks, stream.duration
         ))
     return tuple(arms)
+
+
+def simulate_spot(
+    n_centers: int,
+    emitter: EmitterModel,
+    background: BackgroundModel,
+    detector: DetectorModel,
+    split: float,
+    power: float,
+    duration: float,
+    seeds,
+    resolution: float = DEFAULT_RESOLUTION,
+) -> tuple[TimeTagStream, TimeTagStream]:
+    """Both detector arms of a spot with ``n_centers`` emitters and background.
+
+    ``seeds`` is the (emitter, background, detectors) seed triple. The light
+    goes through a beamsplitter (``split`` to arm A) onto two detectors of
+    model ``detector``.
+
+    Only detected photons are drawn: both arms share one efficiency, and
+    thinning by it commutes with the split and the jitter, so it is folded
+    into the sources. Thinning the emitter's renewal process scales its
+    detection probability per cycle; thinning a Poisson background scales
+    its rate. The detectors then thin nothing.
+    """
+    if not isinstance(n_centers, numbers.Integral) or n_centers < 0:
+        raise DomainError(f"n_centers must be a nonnegative integer, got {n_centers!r}")
+    k_emit, k_bg, k_det = seeds
+    eta = detector.efficiency
+    detected = replace(emitter, sat_rate=emitter.sat_rate * eta)
+    stream = simulate_emitter_tags([detected] * n_centers, power, duration, k_emit, resolution)
+    if background.rate * eta > 0:
+        stream = merge_streams(
+            stream, simulate_background_tags(background.rate * eta, duration, k_bg, resolution)
+        )
+    detector = replace(detector, efficiency=1.0)
+    return run_detection(stream, split, detector, detector, k_det)
 
 
 def simulate_pulsed_decay(

@@ -43,6 +43,7 @@ from emitterforge.photonsim import (
     simulate_background_tags,
     simulate_emitter_tags,
     simulate_pulsed_decay,
+    simulate_spot,
 )
 from emitterforge.timetags import merge_streams, read_timetags, write_timetags
 
@@ -215,7 +216,7 @@ def test_criterion_09_calibration_pipeline():
     emitter = EmitterModel(lifetime=50e-9, sat_power=150e-6, sat_rate=2e6)
     det = DetectorModel(efficiency=0.5)
     creation = CreationModel(p_success=0.16, atoms_per_center=3)
-    bg_rate = 4e3  # at the splitter; 2e3 cps detected
+    light = BackgroundModel(rate=4e3)  # at the splitter; 2e3 cps detected
 
     # dose ladder 0, 3, 6, ... 42 expected ions down the rows; row 0 is
     # left blank to measure the background level
@@ -226,12 +227,8 @@ def test_criterion_09_calibration_pipeline():
     intensity = np.empty(truth.size)
     arms = {}
     for i, n in enumerate(truth):
-        k_emit, k_bg, k_det = np.random.SeedSequence(entropy=(903, i)).spawn(3)
-        stream = simulate_background_tags(bg_rate, dwell, seed=k_bg)
-        if n:
-            sig = simulate_emitter_tags([emitter] * int(n), power, dwell, seed=k_emit)
-            stream = merge_streams(sig, stream)
-        a, b = run_detection(stream, 0.5, det, det, seed=np.random.default_rng(k_det))
+        seeds = np.random.SeedSequence(entropy=(903, i)).spawn(3)
+        a, b = simulate_spot(n, emitter, light, det, 0.5, power, dwell, seeds)
         intensity[i] = (a.n_tags + b.n_tags) / dwell
         arms[i] = (a, b)
 

@@ -98,6 +98,10 @@ API = {
     "simulate_pulsed_decay": (
         "models", "background", "bg_fraction", "pulse_period", "pulse_width", "n_pulses", "seed",
     ),
+    "simulate_spot": (
+        "n_centers", "emitter", "background", "detector", "split", "power", "duration", "seeds",
+        "resolution",
+    ),
     "steady_state_rate": ("model", "power"),
     "wilson_interval": ("counts", "total", "confidence"),
     "write_decay_csv": ("hist", "path"),

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import emitterforge
-from emitterforge import cli, fitkit
+from emitterforge import cli, fitkit, photonsim
 from emitterforge.analysis import debye_waller, fit_saturation
 from emitterforge.cli import main
 from emitterforge.errors import ConfigError, DomainError, FormatError
@@ -225,17 +226,22 @@ def test_simulate_worker_io_error_exit_3(small_ini, tmp_path, monkeypatch, capfd
     assert not (out / "manifest.csv").exists()
 
 
+_write_site = cli._write_site
+
+
+def _refusing_site(error, *args):
+    """``cli._write_site``, except that the site at index 5 raises ``error``."""
+    index, site = args[-2:]
+    if index == 5:
+        raise error(f"site {site.label} refused")
+    return _write_site(*args)
+
+
 @pytest.mark.parametrize("error,code", [(ConfigError, 2), (DomainError, 2), (FormatError, 4)])
 def test_simulate_worker_error_keeps_exit_code(small_ini, tmp_path, monkeypatch, capfd, error, code):
-    simulate_site = cli._simulate_site
-
-    def failing(site, index, *rest):
-        if index == 5:
-            raise error(f"site {site.label} refused")
-        return simulate_site(site, index, *rest)
-
-    # the forked workers inherit the patched module
-    monkeypatch.setattr(cli, "_simulate_site", failing)
+    # the pool sends the job by reference, and the forked workers inherit
+    # the patched module
+    monkeypatch.setattr(cli, "_write_site", functools.partial(_refusing_site, error))
     monkeypatch.setattr(cli, "_worker_count", lambda n_sites: 2)
     assert main(["simulate", str(small_ini), str(tmp_path / "out")]) == code
     err = capfd.readouterr().err
@@ -258,13 +264,13 @@ def test_simulate_maps_in_process_where_fork_is_unsafe(small_ini, tmp_path, monk
         monkeypatch.setattr(cli.multiprocessing, "current_process", lambda: daemonic)
     calls = []
     if case == "traced function":
-        run_detection = cli.run_detection
+        run_detection = photonsim.run_detection
 
         def traced(*args, **kwargs):
             calls.append(args[0].n_tags)
             return run_detection(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_detection", traced)
+        monkeypatch.setattr(photonsim, "run_detection", traced)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait, args=(30,))
     if case == "another thread":

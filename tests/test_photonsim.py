@@ -1,14 +1,11 @@
 import math
-import types
 
 import numpy as np
 import pytest
 from scipy.linalg import expm, null_space
 from test_correlator import three_level_g2_theory
 
-from emitterforge.cli import _simulate_site
 from emitterforge.correlator import _bin_subsamples, correlate, g2_model, rho_from_rates
-from emitterforge.defectstats import CreationModel
 from emitterforge.errors import DomainError
 from emitterforge.photonsim import (
     BackgroundModel,
@@ -19,6 +16,7 @@ from emitterforge.photonsim import (
     simulate_background_tags,
     simulate_emitter_tags,
     simulate_pulsed_decay,
+    simulate_spot,
     steady_state_rate,
     write_decay_csv,
 )
@@ -229,7 +227,7 @@ def test_decay_csv_round_trip(tmp_path):
 
 # ------------------------------------------- efficiency folded into sources
 #
-# ``simulate`` draws only detected photons: it scales the emitter's
+# ``simulate_spot`` draws only detected photons: it scales the emitter's
 # saturated rate and the background rate by the detector efficiency and
 # runs the detectors with efficiency 1. The tests below run that chain and
 # the photon-by-photon chain (every photon drawn, then thinned by the
@@ -254,21 +252,15 @@ FOLD_SEEDS = range(8)
 
 
 def _folded_arms(seed):
-    """Both arms of one site through ``simulate``'s own chain. A dose of
-    1000 ions at 600 ions per centre makes one centre at any plausible
-    Poisson ion count."""
-    site = types.SimpleNamespace(expected_ions=1000.0)
-    creation = CreationModel(p_success=1.0, atoms_per_center=600)
-    _, n_centers, arm_a, arm_b = _simulate_site(
-        site, 0, seed, creation, FOLD_EMITTER, FOLD_BACKGROUND,
-        FOLD_DETECTOR, 0.5, FOLD_DURATION, FOLD_POWER, 1e-12,
+    """Both arms of one spot with one centre through ``simulate_spot``."""
+    seeds = np.random.SeedSequence([seed, 0]).spawn(3)
+    return simulate_spot(
+        1, FOLD_EMITTER, FOLD_BACKGROUND, FOLD_DETECTOR, 0.5, FOLD_POWER, FOLD_DURATION, seeds
     )
-    assert n_centers == 1
-    return arm_a, arm_b
 
 
 def _unfolded_arms(seed):
-    """The same site with every photon drawn and thinned by the detectors."""
+    """The same spot with every photon drawn and thinned by the detectors."""
     k_emit, k_bg, k_det = np.random.SeedSequence([seed, 1]).spawn(3)
     stream = merge_streams(
         simulate_emitter_tags(FOLD_EMITTER, FOLD_POWER, FOLD_DURATION, k_emit),
@@ -320,3 +312,13 @@ def _g2_reduced_chi2(runs):
 def test_fold_keeps_three_level_g2(fold_runs, chain):
     chi2, n_bins = _g2_reduced_chi2(fold_runs[chain])
     assert abs(chi2 - 1.0) < 4.0 * math.sqrt(2.0 / n_bins)
+
+
+@pytest.mark.parametrize("n_centers", [-1, 1.0, 0.5, "1"])
+def test_simulate_spot_refuses_a_bad_center_count(n_centers):
+    seeds = np.random.SeedSequence(0).spawn(3)
+    with pytest.raises(DomainError, match="n_centers"):
+        simulate_spot(
+            n_centers, FOLD_EMITTER, FOLD_BACKGROUND, FOLD_DETECTOR, 0.5, FOLD_POWER,
+            FOLD_DURATION, seeds,
+        )
